@@ -39,6 +39,7 @@
 #![warn(missing_docs)]
 
 mod ccmab;
+mod live;
 mod pool;
 mod runner;
 mod strategy;

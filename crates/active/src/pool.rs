@@ -2,7 +2,7 @@ use std::error::Error;
 use std::fmt;
 
 use omg_core::runtime::ThreadPool;
-use omg_core::SampleReport;
+use omg_core::{SampleReport, SeverityMatrix};
 
 /// Error constructing a [`CandidatePool`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,11 +28,20 @@ impl Error for PoolShapeError {}
 ///   model assertion", §3).
 /// * an **uncertainty score** — the model's least-confidence score, used
 ///   by the uncertainty baseline.
+///
+/// The severity vectors live in one row-major [`SeverityMatrix`], and
+/// construction indexes them once: per assertion, a *posting list* of
+/// the candidates it fired on (severity `> 0`), in index order. Fire
+/// queries ([`CandidatePool::triggered_by`],
+/// [`CandidatePool::fire_counts`]) read the lists instead of rescanning
+/// the pool, which is what keeps selection cost proportional to the
+/// budget rather than the pool (DESIGN.md §1.8).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CandidatePool {
-    severities: Vec<Vec<f64>>,
+    severities: SeverityMatrix,
     uncertainties: Vec<f64>,
-    num_assertions: usize,
+    /// `fired[m]`: candidates with `severity(i, m) > 0`, ascending.
+    fired: Vec<Vec<usize>>,
 }
 
 impl CandidatePool {
@@ -58,10 +67,36 @@ impl CandidatePool {
                 detail: "ragged severity rows".to_string(),
             });
         }
+        let mut matrix = SeverityMatrix::with_capacity(severities.len(), num_assertions);
+        for row in severities {
+            matrix.push_row(&row);
+        }
+        // Two branch-free passes over the rows (fires are data-dependent
+        // coin flips, so a branch per entry mispredicts): count each
+        // assertion's fires, then write every row index at its list's
+        // cursor and advance the cursor only on a fire. A non-fire's
+        // write is overwritten by the next row's or falls off the end.
+        let rows = || matrix.values().chunks_exact(num_assertions.max(1));
+        let mut cursors = vec![0usize; num_assertions];
+        for row in rows() {
+            for (at, &s) in cursors.iter_mut().zip(row) {
+                *at += usize::from(s > 0.0);
+            }
+        }
+        let mut fired: Vec<Vec<usize>> = cursors.iter().map(|&count| vec![0; count]).collect();
+        cursors.fill(0);
+        for (i, row) in rows().enumerate() {
+            for ((list, at), &s) in fired.iter_mut().zip(cursors.iter_mut()).zip(row) {
+                if let Some(slot) = list.get_mut(*at) {
+                    *slot = i;
+                }
+                *at += usize::from(s > 0.0);
+            }
+        }
         Ok(Self {
-            severities,
+            severities: matrix,
             uncertainties,
-            num_assertions,
+            fired,
         })
     }
 
@@ -109,30 +144,29 @@ impl CandidatePool {
 
     /// Number of candidates.
     pub fn len(&self) -> usize {
-        self.severities.len()
+        self.uncertainties.len()
     }
 
     /// Whether the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.severities.is_empty()
+        self.uncertainties.is_empty()
     }
 
     /// Number of assertion dimensions (`d`).
     pub fn num_assertions(&self) -> usize {
-        self.num_assertions
+        self.fired.len()
     }
 
     /// Severity of assertion `m` on candidate `i`.
     pub fn severity(&self, i: usize, m: usize) -> f64 {
         // PANIC: documented accessor contract — i and m come from
         // 0..len() / 0..num_assertions(), the pool's own id spaces.
-        self.severities[i][m]
+        self.severities.row(i)[m]
     }
 
     /// The full severity vector (context) of candidate `i`.
     pub fn context(&self, i: usize) -> &[f64] {
-        // PANIC: same candidate-id contract as severity().
-        &self.severities[i]
+        self.severities.row(i)
     }
 
     /// Model uncertainty of candidate `i`.
@@ -141,36 +175,30 @@ impl CandidatePool {
         self.uncertainties[i]
     }
 
-    /// Candidates on which assertion `m` fired (severity > 0).
-    pub fn triggered_by(&self, m: usize) -> Vec<usize> {
-        (0..self.len())
-            .filter(|&i| self.severities[i][m] > 0.0)
-            .collect()
+    /// Candidates on which assertion `m` fired (severity > 0), in index
+    /// order; empty for an `m` outside `0..num_assertions()`.
+    pub fn triggered_by(&self, m: usize) -> &[usize] {
+        self.fired.get(m).map_or(&[], Vec::as_slice)
     }
 
     /// Candidates flagged by at least one assertion.
     pub fn any_triggered(&self) -> Vec<usize> {
         (0..self.len())
-            .filter(|&i| self.severities[i].iter().any(|&s| s > 0.0))
+            .filter(|&i| self.context(i).iter().any(|&s| s > 0.0))
             .collect()
     }
 
     /// Number of candidates on which each assertion fired (the fire-count
     /// vector BAL differences across rounds).
     pub fn fire_counts(&self) -> Vec<usize> {
-        (0..self.num_assertions)
-            .map(|m| self.triggered_by(m).len())
-            .collect()
+        self.fired.iter().map(Vec::len).collect()
     }
 
     /// Per-assertion fire *rates* (counts normalized by pool size), which
     /// are comparable across rounds even as the pool shrinks.
     pub fn fire_rates(&self) -> Vec<f64> {
         let n = self.len().max(1) as f64;
-        self.fire_counts()
-            .into_iter()
-            .map(|c| c as f64 / n)
-            .collect()
+        self.fired.iter().map(|c| c.len() as f64 / n).collect()
     }
 }
 
@@ -205,8 +233,9 @@ mod tests {
     #[test]
     fn triggered_queries() {
         let p = pool();
-        assert_eq!(p.triggered_by(0), vec![0, 2]);
-        assert_eq!(p.triggered_by(1), vec![1, 2]);
+        assert_eq!(p.triggered_by(0), &[0, 2]);
+        assert_eq!(p.triggered_by(1), &[1, 2]);
+        assert!(p.triggered_by(2).is_empty());
         assert_eq!(p.any_triggered(), vec![0, 1, 2]);
         assert_eq!(p.fire_counts(), vec![2, 2]);
         assert_eq!(p.fire_rates(), vec![0.5, 0.5]);

@@ -1,8 +1,8 @@
 use omg_core::runtime::ThreadPool;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
+use crate::live::{shuffled_prefix, top_k_by_score, LiveSets};
 use crate::CandidatePool;
 
 /// A batch data-selection strategy for active learning.
@@ -41,29 +41,6 @@ pub trait SelectionStrategy: Send + Sync {
     fn reset(&mut self) {}
 }
 
-/// Sorts candidate indices by descending score, breaking ties by earlier
-/// index (the deterministic order every score-ranked path shares).
-fn sort_by_score_desc<F: Fn(usize) -> f64>(order: &mut [usize], score: F) {
-    order.sort_by(|&a, &b| score(b).total_cmp(&score(a)).then(a.cmp(&b)));
-}
-
-/// Samples `k` distinct indices uniformly from `candidates` (excluding
-/// already-taken ones), in selection order.
-fn sample_uniform(
-    candidates: &[usize],
-    k: usize,
-    taken: &mut [bool],
-    rng: &mut StdRng,
-) -> Vec<usize> {
-    let mut avail: Vec<usize> = candidates.iter().copied().filter(|&i| !taken[i]).collect();
-    avail.shuffle(rng);
-    let picked: Vec<usize> = avail.into_iter().take(k).collect();
-    for &i in &picked {
-        taken[i] = true;
-    }
-    picked
-}
-
 /// The random-sampling baseline.
 #[derive(Debug, Clone, Default)]
 pub struct RandomStrategy;
@@ -79,9 +56,7 @@ impl SelectionStrategy for RandomStrategy {
     }
 
     fn select(&mut self, pool: &CandidatePool, budget: usize, rng: &mut StdRng) -> Vec<usize> {
-        let mut taken = vec![false; pool.len()];
-        let all: Vec<usize> = (0..pool.len()).collect();
-        sample_uniform(&all, budget, &mut taken, rng)
+        shuffled_prefix((0..pool.len()).collect(), budget, rng)
     }
 }
 
@@ -101,33 +76,24 @@ impl SelectionStrategy for UncertaintyStrategy {
     }
 
     fn select(&mut self, pool: &CandidatePool, budget: usize, _rng: &mut StdRng) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..pool.len()).collect();
-        sort_by_score_desc(&mut order, |i| self.score(pool, i));
-        order.truncate(budget);
-        order
+        top_k_by_score((0..pool.len()).collect(), budget, |i| self.score(pool, i))
     }
 }
 
-/// Picks one assertion uniformly among those with unselected triggered
-/// points, then one of its triggered points uniformly. Returns `None`
-/// when no assertion has anything left.
-fn pick_uniform_from_assertions(
-    pool: &CandidatePool,
-    taken: &mut [bool],
+/// Draws from the assertions uniformly ([`LiveSets::pick_uniform_from_assertions`])
+/// until `out` holds `budget` candidates or the flagged data runs out.
+fn fill_from_assertions(
+    live: &mut LiveSets<'_>,
+    out: &mut Vec<usize>,
+    budget: usize,
     rng: &mut StdRng,
-) -> Option<usize> {
-    let live: Vec<usize> = (0..pool.num_assertions())
-        .filter(|&m| pool.triggered_by(m).iter().any(|&i| !taken[i]))
-        .collect();
-    let &m = live.choose(rng)?;
-    let avail: Vec<usize> = pool
-        .triggered_by(m)
-        .into_iter()
-        .filter(|&i| !taken[i])
-        .collect();
-    let &i = avail.choose(rng)?;
-    taken[i] = true;
-    Some(i)
+) {
+    while out.len() < budget {
+        match live.pick_uniform_from_assertions(rng) {
+            Some(i) => out.push(i),
+            None => break,
+        }
+    }
 }
 
 /// The uniform-from-assertions baseline ("uniform sampling from data that
@@ -153,17 +119,11 @@ impl SelectionStrategy for UniformAssertionStrategy {
     }
 
     fn select(&mut self, pool: &CandidatePool, budget: usize, rng: &mut StdRng) -> Vec<usize> {
-        let mut taken = vec![false; pool.len()];
+        let mut live = LiveSets::over(pool);
         let mut out = Vec::with_capacity(budget);
-        while out.len() < budget {
-            match pick_uniform_from_assertions(pool, &mut taken, rng) {
-                Some(i) => out.push(i),
-                None => break,
-            }
-        }
+        fill_from_assertions(&mut live, &mut out, budget, rng);
         if out.len() < budget {
-            let all: Vec<usize> = (0..pool.len()).collect();
-            out.extend(sample_uniform(&all, budget - out.len(), &mut taken, rng));
+            out.extend(shuffled_prefix(live.untaken(), budget - out.len(), rng));
         }
         out
     }
@@ -193,6 +153,11 @@ pub enum FallbackPolicy {
 /// Fire *rates* (counts normalized by pool size) rather than raw counts
 /// are differenced, so a shrinking unlabeled pool does not masquerade as
 /// improvement.
+///
+/// A selection call costs O(n·d + Σₘ fₘ log fₘ + B·d·log n) for a pool
+/// of n candidates, d assertions with fₘ fires each, and budget B: the
+/// draws run on per-call Fenwick live sets over the pool's posting lists
+/// (DESIGN.md §1.8).
 #[derive(Debug, Clone)]
 pub struct BalStrategy {
     fallback: FallbackPolicy,
@@ -235,66 +200,24 @@ impl BalStrategy {
             .collect()
     }
 
-    /// Samples one point triggering assertion `m`, with probability
-    /// proportional to severity *rank* (highest severity = highest
-    /// weight), among unselected points. Returns `None` if none remain.
-    fn pick_by_severity_rank(
-        pool: &CandidatePool,
-        m: usize,
-        taken: &mut [bool],
-        rng: &mut StdRng,
-    ) -> Option<usize> {
-        let mut avail: Vec<usize> = pool
-            .triggered_by(m)
-            .into_iter()
-            .filter(|&i| !taken[i])
-            .collect();
-        if avail.is_empty() {
-            return None;
-        }
-        // Ascending severity: rank weight = position + 1.
-        avail.sort_by(|&a, &b| {
-            pool.severity(a, m)
-                .total_cmp(&pool.severity(b, m))
-                .then(a.cmp(&b))
-        });
-        let total: f64 = (1..=avail.len()).map(|r| r as f64).sum();
-        let mut u = rng.gen_range(0.0..total);
-        for (pos, &i) in avail.iter().enumerate() {
-            let w = (pos + 1) as f64;
-            if u < w {
-                taken[i] = true;
-                return Some(i);
-            }
-            u -= w;
-        }
-        let &last = avail.last().expect("non-empty");
-        taken[last] = true;
-        Some(last)
-    }
-
+    /// Takes up to `k` untaken candidates by the fallback policy.
     fn fallback_select(
         &self,
         pool: &CandidatePool,
         k: usize,
-        taken: &mut [bool],
+        live: &mut LiveSets<'_>,
         rng: &mut StdRng,
     ) -> Vec<usize> {
-        match self.fallback {
-            FallbackPolicy::Random => {
-                let all: Vec<usize> = (0..pool.len()).collect();
-                sample_uniform(&all, k, taken, rng)
-            }
+        let picked = match self.fallback {
+            FallbackPolicy::Random => shuffled_prefix(live.untaken(), k, rng),
             FallbackPolicy::Uncertainty => {
-                let mut order: Vec<usize> = (0..pool.len()).filter(|&i| !taken[i]).collect();
-                sort_by_score_desc(&mut order, |i| pool.uncertainty(i));
-                order.truncate(k);
-                for &i in &order {
-                    taken[i] = true;
-                }
-                order
+                top_k_by_score(live.untaken(), k, |i| pool.uncertainty(i))
             }
+        };
+        for &i in &picked {
+            live.take(i);
         }
+        picked
     }
 }
 
@@ -315,32 +238,25 @@ impl SelectionStrategy for BalStrategy {
     }
 
     fn select(&mut self, pool: &CandidatePool, budget: usize, rng: &mut StdRng) -> Vec<usize> {
-        let mut taken = vec![false; pool.len()];
+        let mut live = LiveSets::over(pool);
         let mut out = Vec::with_capacity(budget);
         let rates = pool.fire_rates();
         let d = pool.num_assertions();
 
         if d == 0 || pool.is_empty() {
-            return self.fallback_select(pool, budget, &mut taken, rng);
+            return self.fallback_select(pool, budget, &mut live, rng);
         }
 
         match self.prev_rates.take() {
-            None => {
-                // Round 0: uniformly at random from the d assertions.
-                while out.len() < budget {
-                    match pick_uniform_from_assertions(pool, &mut taken, rng) {
-                        Some(i) => out.push(i),
-                        None => break,
-                    }
-                }
-            }
+            // Round 0: uniformly at random from the d assertions.
+            None => fill_from_assertions(&mut live, &mut out, budget, rng),
             Some(prev) => {
                 let reductions = Self::reductions(&prev, &rates);
                 let total_reduction: f64 = reductions.iter().sum();
                 if reductions.iter().all(|&r| r < self.min_reduction) {
                     // No assertion is reducing: hand the round to the
                     // fallback policy.
-                    out.extend(self.fallback_select(pool, budget, &mut taken, rng));
+                    out.extend(self.fallback_select(pool, budget, &mut live, rng));
                 } else {
                     let explore = ((budget as f64) * self.epsilon).round() as usize;
                     let exploit = budget.saturating_sub(explore);
@@ -358,15 +274,9 @@ impl SelectionStrategy for BalStrategy {
                         }
                         // If the chosen assertion is exhausted, try the
                         // others before giving up on this slot.
-                        let mut picked = Self::pick_by_severity_rank(pool, chosen, &mut taken, rng);
-                        if picked.is_none() {
-                            for m in 0..d {
-                                picked = Self::pick_by_severity_rank(pool, m, &mut taken, rng);
-                                if picked.is_some() {
-                                    break;
-                                }
-                            }
-                        }
+                        let picked = live
+                            .pick_by_severity_rank(chosen, rng)
+                            .or_else(|| (0..d).find_map(|m| live.pick_by_severity_rank(m, rng)));
                         match picked {
                             Some(i) => out.push(i),
                             None => break,
@@ -375,19 +285,14 @@ impl SelectionStrategy for BalStrategy {
                     // Explore: uniform across assertions (ε-greedy), "so
                     // that no contexts are underexplored as training
                     // progresses".
-                    while out.len() < budget {
-                        match pick_uniform_from_assertions(pool, &mut taken, rng) {
-                            Some(i) => out.push(i),
-                            None => break,
-                        }
-                    }
+                    fill_from_assertions(&mut live, &mut out, budget, rng);
                 }
             }
         }
 
         // Any remaining budget (flagged data exhausted) goes to fallback.
         if out.len() < budget {
-            out.extend(self.fallback_select(pool, budget - out.len(), &mut taken, rng));
+            out.extend(self.fallback_select(pool, budget - out.len(), &mut live, rng));
         }
         self.prev_rates = Some(rates);
         out
@@ -677,8 +582,7 @@ mod tests {
     #[test]
     fn score_sort_is_total_and_breaks_ties_by_index() {
         let scores = [1.0, f64::NAN, 1.0, 2.0];
-        let mut order: Vec<usize> = (0..scores.len()).collect();
-        sort_by_score_desc(&mut order, |i| scores[i]);
+        let order = top_k_by_score((0..scores.len()).collect(), scores.len(), |i| scores[i]);
         // +NaN sorts above every real under the total order (a poisoned
         // score surfaces first instead of shuffling the ranking), and
         // the 1.0 tie resolves by index.

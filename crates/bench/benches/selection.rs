@@ -3,7 +3,7 @@
 //! BAL's selection step is cheap (no retraining per arm, unlike CC-MAB's
 //! idealized setting).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use omg_active::{
     BalStrategy, CandidatePool, CcMab, FallbackPolicy, RandomStrategy, SelectionStrategy,
     ThreadPool, UncertaintyStrategy, UniformAssertionStrategy,
@@ -11,13 +11,15 @@ use omg_active::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn make_pool(n: usize, d: usize, seed: u64) -> CandidatePool {
+/// `n` candidates over `d` assertions, each firing with probability
+/// `fire_p` at a severity in `[0.5, 5)`.
+fn make_pool(n: usize, d: usize, fire_p: f64, seed: u64) -> CandidatePool {
     let mut rng = StdRng::seed_from_u64(seed);
     let severities: Vec<Vec<f64>> = (0..n)
         .map(|_| {
             (0..d)
                 .map(|_| {
-                    if rng.gen_bool(0.3) {
+                    if rng.gen_bool(fire_p) {
                         rng.gen_range(0.5..5.0)
                     } else {
                         0.0
@@ -32,8 +34,8 @@ fn make_pool(n: usize, d: usize, seed: u64) -> CandidatePool {
 
 fn strategies(c: &mut Criterion) {
     let mut group = c.benchmark_group("selection/100_of_n");
-    for n in [1_000usize, 10_000] {
-        let pool = make_pool(n, 3, 42);
+    for n in [1_000usize, 10_000, 100_000] {
+        let pool = make_pool(n, 3, 0.3, 42);
         let cases: Vec<(&str, Box<dyn SelectionStrategy>)> = vec![
             ("random", Box::new(RandomStrategy)),
             ("uncertainty", Box::new(UncertaintyStrategy)),
@@ -49,6 +51,27 @@ fn strategies(c: &mut Criterion) {
                 });
             });
         }
+        // BAL's exploit path: the untimed setup runs round 0 on p0, and
+        // the timed round runs on p1, where every assertion fires less
+        // often, so the budget goes to severity-rank draws (ε = 25%
+        // explores).
+        let dropped = make_pool(n, 3, 0.2, 43);
+        group.bench_with_input(
+            BenchmarkId::new("bal-exploit", n),
+            &dropped,
+            |b, dropped| {
+                let mut rng = StdRng::seed_from_u64(7);
+                b.iter_batched(
+                    || {
+                        let mut bal = BalStrategy::new(FallbackPolicy::Random);
+                        bal.select(&pool, 100, &mut rng);
+                        (bal, rng.clone())
+                    },
+                    |(mut bal, mut round_rng)| bal.select(dropped, 100, &mut round_rng),
+                    BatchSize::SmallInput,
+                );
+            },
+        );
     }
     group.finish();
 }
@@ -56,7 +79,7 @@ fn strategies(c: &mut Criterion) {
 /// Per-candidate strategy scoring fanned out over the runtime — the
 /// batch severity-scoring path pools are ranked with.
 fn score_all(c: &mut Criterion) {
-    let pool = make_pool(10_000, 3, 42);
+    let pool = make_pool(10_000, 3, 0.3, 42);
     let mut group = c.benchmark_group("selection/score_all_10k");
     for threads in [1usize, 4] {
         let runtime = ThreadPool::new(threads);

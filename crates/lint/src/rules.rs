@@ -132,7 +132,7 @@ pub const JUSTIFY_LOOKBACK: u32 = 10;
 pub const PANIC_ALLOWED: &[(&str, usize, &str)] = &[
     (
         "crates/active/src/pool.rs",
-        4,
+        2,
         "candidate-pool accessors: ids are the pool's own dense 0..len id space",
     ),
     (
