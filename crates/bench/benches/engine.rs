@@ -6,7 +6,6 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use omg_bench::video::monitor_windows;
 use omg_core::consistency::{ConsistencyEngine, ConsistencyWindow};
 use omg_core::runtime::ThreadPool;
-use omg_core::stream::StreamMonitor;
 use omg_core::Monitor;
 use omg_domains::helpers::{track_window, TrackedBox, VideoTrackSpec};
 use omg_domains::{video_assertion_set, video_prepared_assertion_set, VideoPrepare};
@@ -51,19 +50,21 @@ fn monitor_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Streaming-monitor cost on the same stream: one preparation (tracker
-/// run + consistency check) per window, shared by the set — versus the
-/// batch monitor's per-assertion re-derivation above. Outputs are
-/// bit-for-bit identical; the comparison is pure wall-clock
-/// (`exp_throughput --stream` reports it as windows/sec).
+/// Prepared-monitor cost on the same stream (`Monitor::with_preparer`):
+/// one preparation (tracker run + consistency check) per window, shared
+/// by the set — versus the plain monitor's per-assertion re-derivation
+/// above. Outputs are bit-for-bit identical; the comparison is pure
+/// wall-clock (`exp_throughput --stream` reports it as windows/sec).
 fn stream_monitor_throughput(c: &mut Criterion) {
     let windows = make_windows(200);
+    let prepared =
+        || Monitor::with_preparer(video_prepared_assertion_set(0.45), VideoPrepare::new(0.45));
     c.bench_function("monitor/video_window_stream", |b| {
         b.iter_batched(
-            || StreamMonitor::new(video_prepared_assertion_set(0.45), VideoPrepare::new(0.45)),
+            prepared,
             |mut monitor| {
                 for w in &windows {
-                    criterion::black_box(monitor.ingest(w));
+                    criterion::black_box(monitor.process(w));
                 }
             },
             BatchSize::SmallInput,
@@ -74,9 +75,9 @@ fn stream_monitor_throughput(c: &mut Criterion) {
         let pool = ThreadPool::new(threads);
         group.bench_with_input(BenchmarkId::from_parameter(threads), &pool, |b, pool| {
             b.iter_batched(
-                || StreamMonitor::new(video_prepared_assertion_set(0.45), VideoPrepare::new(0.45)),
+                prepared,
                 |mut monitor| {
-                    criterion::black_box(monitor.ingest_batch(&windows, pool));
+                    criterion::black_box(monitor.process_batch(&windows, pool));
                 },
                 BatchSize::SmallInput,
             );

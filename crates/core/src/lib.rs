@@ -28,9 +28,10 @@
 //!   after each model invocation, records outcomes, and invokes
 //!   corrective-action hooks whose severity threshold is crossed (the
 //!   paper's "automatically trigger corrective actions, e.g., shutting
-//!   down an autopilot"). `Monitor::process_batch` scores whole batches
-//!   in parallel over a [`runtime::ThreadPool`], bit-for-bit equal to
-//!   the sequential path.
+//!   down an autopilot"). [`Monitor::with_preparer`] shares one
+//!   [`stream::Prepare`] artifact across the whole set per sample, and
+//!   `Monitor::process_batch` scores whole batches in parallel over a
+//!   [`runtime::ThreadPool`], bit-for-bit equal to the sequential path.
 //! * [`runtime`] — the dependency-free **persistent** worker-thread pool
 //!   behind the batch and streaming paths: long-lived workers parked on
 //!   a condvar, jobs (not spawns) per scoring call, deterministic
@@ -38,11 +39,11 @@
 //! * [`stream`] — the incremental streaming engine: the [`stream::Prepare`]
 //!   shared window-preparation layer (expensive derivations run once per
 //!   window, shared by every assertion via
-//!   [`AssertionSet::check_all_prepared`]), the zero-copy window sliders
-//!   ([`stream::SlidingSpans`] index spans over the caller's slice;
-//!   [`stream::SlidingWindows`] borrowed windows over a mirror buffer
-//!   of moved-in items), and [`stream::StreamMonitor`] — all bit-for-bit
-//!   equal to the batch reference at any thread count.
+//!   [`AssertionSet::check_all_prepared`]), the one columnar scoring
+//!   driver [`stream::score_rows_chunked`], and the zero-copy window
+//!   slider [`stream::SlidingWindows`] (borrowed windows over a mirror
+//!   buffer of moved-in items) — all bit-for-bit equal to the batch
+//!   reference at any thread count.
 //! * [`consistency`] — the high-level consistency-assertion API of §4:
 //!   from an identifier function, an attributes function, and a temporal
 //!   threshold `T`, OMG generates Boolean assertions *and* correction

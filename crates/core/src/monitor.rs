@@ -1,4 +1,5 @@
 use crate::runtime::ThreadPool;
+use crate::stream::{score_batch, NoPrep, Prepare};
 use crate::{AssertionDb, AssertionId, AssertionSet, Severity};
 
 /// The outcomes of running the assertion set on one sample.
@@ -66,42 +67,100 @@ type ActionHook<S> = Box<dyn FnMut(&S, &SampleReport) + Send>;
 /// development/deployment pipeline … to log unexpected behavior or
 /// automatically trigger corrective actions".
 ///
+/// The second type parameter is the set's shared preparation artifact
+/// (see [`crate::stream`]). A monitor built with [`Monitor::new`] or
+/// [`Monitor::with_assertions`] runs a plain set with [`NoPrep`];
+/// [`Monitor::with_preparer`] runs the expensive per-sample derivation
+/// exactly once per sample and shares it across every assertion. Both
+/// produce bit-for-bit the reports [`AssertionSet::check_all`] implies.
+///
 /// See the [crate-level example](crate) for typical usage.
-pub struct Monitor<S> {
-    assertions: AssertionSet<S>,
+pub struct Monitor<S, P = ()> {
+    assertions: AssertionSet<S, P>,
+    preparer: Box<dyn Prepare<S, Prepared = P>>,
     db: AssertionDb,
     next_sample: usize,
     actions: Vec<(Severity, ActionHook<S>)>,
+    /// Optional retention cap: after every commit the database keeps at
+    /// most this many recent sample rows (see
+    /// [`AssertionDb::retain_recent`]). `None` retains everything.
+    retention: Option<usize>,
 }
 
 impl<S: 'static> Monitor<S> {
     /// Creates a monitor with an empty assertion set.
     pub fn new() -> Self {
-        Self {
-            assertions: AssertionSet::new(),
-            db: AssertionDb::new(),
-            next_sample: 0,
-            actions: Vec::new(),
-        }
+        Self::with_assertions(AssertionSet::new())
     }
 
     /// Creates a monitor around an existing assertion set.
     pub fn with_assertions(assertions: AssertionSet<S>) -> Self {
+        Self::with_preparer(assertions, NoPrep)
+    }
+}
+
+impl<S: 'static, P: Send + 'static> Monitor<S, P> {
+    /// Creates a monitor around an assertion set and the preparer
+    /// producing its shared artifact: every sample is prepared once and
+    /// the artifact is shared by every assertion in the set.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use omg_core::stream::FnPrepare;
+    /// use omg_core::{AssertionSet, FnAssertion, Monitor, Severity};
+    ///
+    /// // Shared preparation: the (expensive, imagine) sum of the sample.
+    /// let mut set: AssertionSet<Vec<i64>, i64> = AssertionSet::new();
+    /// set.add_prepared(
+    ///     FnAssertion::new("negative-sum", |xs: &Vec<i64>| {
+    ///         Severity::from_bool(xs.iter().sum::<i64>() < 0)
+    ///     }),
+    ///     |_, &sum| Severity::from_bool(sum < 0),
+    /// );
+    /// let mut m = Monitor::with_preparer(set, FnPrepare::new(|xs: &Vec<i64>| xs.iter().sum()));
+    /// assert!(m.process(&vec![-2, 1]).any_fired());
+    /// assert!(!m.process(&vec![2, 1]).any_fired());
+    /// assert_eq!(m.samples_processed(), 2);
+    /// assert_eq!(m.prepare_count(), 2);
+    /// ```
+    pub fn with_preparer<Pr>(assertions: AssertionSet<S, P>, preparer: Pr) -> Self
+    where
+        Pr: Prepare<S, Prepared = P> + 'static,
+    {
         Self {
             assertions,
+            preparer: Box::new(preparer),
             db: AssertionDb::new(),
             next_sample: 0,
             actions: Vec::new(),
+            retention: None,
         }
     }
 
+    /// Caps the database at the `keep` most recent sample rows: after
+    /// every `process`/`process_batch`, older rows are evicted (lifetime
+    /// fire counters survive — see [`AssertionDb`]'s retention docs).
+    /// This is what keeps a long-lived monitor's memory flat under
+    /// unbounded traffic; reports and corrective actions are unaffected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep` is zero.
+    #[must_use]
+    pub fn with_retention(mut self, keep: usize) -> Self {
+        assert!(keep > 0, "retention cap must keep at least one sample");
+        self.retention = Some(keep);
+        self
+    }
+
     /// The registered assertions.
-    pub fn assertions(&self) -> &AssertionSet<S> {
+    pub fn assertions(&self) -> &AssertionSet<S, P> {
         &self.assertions
     }
 
     /// Mutable access for registering assertions.
-    pub fn assertions_mut(&mut self) -> &mut AssertionSet<S> {
+    pub fn assertions_mut(&mut self) -> &mut AssertionSet<S, P> {
         &mut self.assertions
     }
 
@@ -129,23 +188,17 @@ impl<S: 'static> Monitor<S> {
         self.actions.push((threshold, Box::new(action)));
     }
 
-    /// Runs all assertions on one sample: records outcomes in the
-    /// database, fires any corrective actions, and returns the report.
+    /// Runs all assertions on one sample: prepares it once, checks every
+    /// assertion against the shared artifact, records the outcomes in
+    /// the database, fires any corrective actions, and returns the
+    /// report.
     pub fn process(&mut self, sample: &S) -> SampleReport {
-        let outcomes = self.assertions.check_all(sample);
-        let report = SampleReport {
-            sample: self.next_sample,
-            outcomes,
-        };
-        self.db.record_sample(report.sample, &report.outcomes);
-        self.next_sample += 1;
-        let max = report.max_severity();
-        for (threshold, action) in &mut self.actions {
-            if max >= *threshold {
-                action(sample, &report);
-            }
-        }
-        report
+        let prep = self.preparer.prepare(sample);
+        let outcomes = self.assertions.check_all_prepared(sample, &prep);
+        let index = self.next_sample;
+        self.db.record_sample(index, &outcomes);
+        self.advance(1);
+        self.report(sample, index, outcomes)
     }
 
     /// Processes a batch of samples, returning one report per sample.
@@ -157,56 +210,86 @@ impl<S: 'static> Monitor<S> {
         samples.into_iter().map(|s| self.process(s)).collect()
     }
 
-    /// Processes a batch of samples, scoring every `(sample, assertion)`
-    /// pair across the pool's workers, then merging deterministically.
+    /// Processes a batch of samples, scoring every sample (one
+    /// preparation plus every assertion) across the pool's workers, then
+    /// merging deterministically.
     ///
-    /// The parallel phase shares `&self.assertions` across workers
-    /// (assertions are pure `Send + Sync` functions) and computes each
-    /// sample's dense outcome vector; the merge phase then runs on the
-    /// calling thread **in sample order**: outcomes are appended to the
+    /// The parallel phase shares `&self.assertions` and the preparer
+    /// across workers (both are `Send + Sync`) and computes each
+    /// sample's dense severity row; the merge phase then runs on the
+    /// calling thread **in sample order**: rows are appended to the
     /// [`AssertionDb`] shard-by-shard and corrective actions fire in the
     /// same order the sequential path would fire them.
     ///
-    /// **Determinism invariant:** for pure assertions, this produces
-    /// bit-for-bit the same reports, database contents, and corrective-
-    /// action sequence as calling [`Monitor::process`] on each sample in
-    /// order, at any thread count (enforced by the engine's property
-    /// tests at 1/2/8 threads).
+    /// **Determinism invariant:** for pure assertions and a deterministic
+    /// preparer, this produces bit-for-bit the same reports, database
+    /// contents, and corrective-action sequence as calling
+    /// [`Monitor::process`] on each sample in order, at any thread count
+    /// (enforced by the engine's property tests at 1/2/8 threads).
     pub fn process_batch(&mut self, samples: &[S], pool: &ThreadPool) -> Vec<SampleReport>
     where
         S: Sync,
     {
-        let matrix =
-            crate::stream::score_batch(&self.assertions, &crate::stream::NoPrep, samples, pool);
+        let matrix = score_batch(&self.assertions, self.preparer.as_ref(), samples, pool);
         let first = self.next_sample;
         self.db.record_matrix(first, &matrix);
-        self.next_sample += samples.len();
-        let mut reports = Vec::with_capacity(samples.len());
-        for (i, row) in matrix.iter_rows().enumerate() {
-            // Severity::new round-trips raw values exactly, so these
-            // outcome rows are bit-for-bit the sequential path's.
-            let outcomes: Vec<(AssertionId, Severity)> = row
-                .iter()
-                .enumerate()
-                .map(|(m, &v)| (AssertionId(m), Severity::new(v)))
-                .collect();
-            let report = SampleReport {
-                sample: first + i,
-                outcomes,
-            };
-            let max = report.max_severity();
-            for (threshold, action) in &mut self.actions {
-                if max >= *threshold {
-                    action(&samples[i], &report);
-                }
-            }
-            reports.push(report);
+        self.advance(samples.len());
+        samples
+            .iter()
+            .zip(matrix.iter_rows())
+            .enumerate()
+            .map(|(i, (sample, row))| {
+                // Severity::new round-trips raw values exactly, so these
+                // outcome rows are bit-for-bit the sequential path's.
+                let outcomes = row
+                    .iter()
+                    .enumerate()
+                    .map(|(m, &v)| (AssertionId(m), Severity::new(v)))
+                    .collect();
+                self.report(sample, first + i, outcomes)
+            })
+            .collect()
+    }
+
+    /// Counts `n` newly recorded samples and applies the retention cap.
+    fn advance(&mut self, n: usize) {
+        self.next_sample += n;
+        if let Some(keep) = self.retention {
+            self.db.retain_recent(keep);
         }
-        reports
+    }
+
+    /// Builds one sample's report and fires the corrective actions its
+    /// maximum severity crosses.
+    fn report(
+        &mut self,
+        sample: &S,
+        index: usize,
+        outcomes: Vec<(AssertionId, Severity)>,
+    ) -> SampleReport {
+        let report = SampleReport {
+            sample: index,
+            outcomes,
+        };
+        let max = report.max_severity();
+        for (threshold, action) in &mut self.actions {
+            if max >= *threshold {
+                action(sample, &report);
+            }
+        }
+        report
     }
 
     /// Number of samples processed.
     pub fn samples_processed(&self) -> usize {
+        self.next_sample
+    }
+
+    /// Number of preparation runs so far. The monitor prepares every
+    /// processed sample exactly once, so this is
+    /// [`Monitor::samples_processed`]; wrap the preparer in a
+    /// [`crate::stream::CountingPrepare`] to observe the calls directly.
+    pub fn prepare_count(&self) -> usize {
         self.next_sample
     }
 }
@@ -217,7 +300,7 @@ impl<S: 'static> Default for Monitor<S> {
     }
 }
 
-impl<S: 'static> std::fmt::Debug for Monitor<S> {
+impl<S: 'static, P: Send + 'static> std::fmt::Debug for Monitor<S, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Monitor")
             .field("assertions", &self.assertions.names())

@@ -12,23 +12,16 @@
 //!    run). Self-contained assertions each re-derive it, multiplying the
 //!    dominant cost by the assertion count. The [`Prepare`] trait names
 //!    that derivation once; [`crate::AssertionSet::check_all_prepared`]
-//!    shares one artifact across every assertion in the set.
+//!    shares one artifact across every assertion in the set, and
+//!    [`crate::Monitor::with_preparer`] runs it once per sample.
 //! 2. **Window construction.** A sliding window over a stream only ever
 //!    changes at its edges, and describing one never requires copying its
-//!    items. [`SlidingSpans`] is the storage-free slider that turns a
-//!    one-position-at-a-time stream into the index spans of the same
-//!    clamped windows a batch scorer would build from the full sequence —
-//!    callers holding the stream as a slice borrow each window in place,
-//!    with zero item clones and zero per-window allocation. Callers that
-//!    receive *owned* items one at a time use [`SlidingWindows`], which
-//!    moves each item once into a contiguous mirror buffer and emits
-//!    windows as borrowed slices of it, in O(window) memory.
-//!
-//! [`StreamMonitor`] composes the two into the deployment-time face of
-//! the streaming engine: ingest a sample, prepare once, check every
-//! assertion, record to the [`AssertionDb`], fire corrective actions —
-//! and emit the same [`SampleReport`]s the batch [`crate::Monitor`]
-//! would.
+//!    items. Callers holding the whole stream as a slice borrow each
+//!    clamped window in place (the scenario drivers score every center
+//!    through [`score_rows_chunked`]). Callers that receive *owned*
+//!    items one at a time use [`SlidingWindows`], which moves each item
+//!    once into a contiguous mirror buffer and emits windows as borrowed
+//!    slices of it, in O(window) memory.
 //!
 //! # Batch-equivalence guarantee
 //!
@@ -39,7 +32,7 @@
 //! threads across all deployed scenarios.
 
 use crate::runtime::ThreadPool;
-use crate::{AssertionDb, AssertionId, AssertionSet, SampleReport, Severity, SeverityMatrix};
+use crate::{AssertionSet, SeverityMatrix};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -147,70 +140,34 @@ impl<S, Pr: Prepare<S>> Prepare<S> for CountingPrepare<Pr> {
     }
 }
 
-/// One clamped window as a *span of stream positions*, emitted by
-/// [`SlidingSpans`]: `[start, end)` in stream coordinates, centered on
-/// stream position `index`. Callers that hold the stream as a slice
-/// borrow the window as `&stream[span.start..span.end]` — no items are
-/// stored, moved, or cloned to describe a window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowSpan {
-    /// First stream position in the window (inclusive).
-    pub start: usize,
-    /// One past the last stream position in the window (exclusive).
-    pub end: usize,
-    /// The center's stream position (`start <= index < end`).
-    pub index: usize,
+/// One clamped window as a span of stream positions: `[start, end)`,
+/// centered on stream position `index`.
+#[derive(Debug, Clone, Copy)]
+struct WindowSpan {
+    start: usize,
+    end: usize,
+    index: usize,
 }
 
 impl WindowSpan {
     /// Index of the center *within* the window (`index - start`).
-    pub fn center(&self) -> usize {
+    fn center(&self) -> usize {
         self.index - self.start
-    }
-
-    /// Number of positions in the window.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Whether the span is empty (never, for spans a slider emits —
-    /// every window contains at least its center).
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
     }
 }
 
-/// The index-emitting slider: pure clamped-window *arithmetic*, no item
-/// storage at all.
+/// The index engine behind [`SlidingWindows`]: pure clamped-window
+/// arithmetic, no item storage.
 ///
-/// Configured with `half` positions of context on each side of a
-/// center, it counts stream positions one [`SlidingSpans::push`] at a
-/// time and emits, for every position `c`, the span
-/// `[max(0, c - half), min(c + half + 1, n))` — exactly the clamped
-/// window a batch scorer would build from the full sequence, in center
-/// order, with `half` positions of latency, O(1) state, and zero
-/// allocation. It is the window engine behind the chunked streaming
-/// drivers, whose callers hold the stream as a slice and borrow each
-/// window in place; callers that genuinely receive items one at a time
-/// wrap it in a [`SlidingWindows`] instead.
-///
-/// # Example
-///
-/// ```
-/// use omg_core::stream::SlidingSpans;
-///
-/// let mut sp = SlidingSpans::new(1);
-/// assert!(sp.push().is_none()); // center 0 still needs lookahead
-/// let s = sp.push().expect("center 0 complete");
-/// assert_eq!((s.start, s.end, s.index), (0, 2, 0));
-/// let tail: Vec<_> = sp.finish().collect(); // right-edge-clamped tail
-/// assert_eq!(tail.len(), 1);
-/// assert_eq!((tail[0].start, tail[0].end, tail[0].index), (0, 2, 1));
-/// ```
+/// With `half` positions of context on each side of a center, it counts
+/// stream positions one [`SlidingSpans::push`] at a time and emits, for
+/// every position `c`, the span `[max(0, c - half), min(c + half + 1,
+/// n))` — exactly the clamped window a batch scorer builds from the
+/// full sequence, in center order, with `half` positions of latency.
 // Deliberately not `Copy`: `finish(self)` must actually consume the
 // slider, or pushing a second stream into stale state would compile.
 #[derive(Debug, Clone)]
-pub struct SlidingSpans {
+struct SlidingSpans {
     half: usize,
     /// Total positions pushed so far.
     pushed: usize,
@@ -219,28 +176,12 @@ pub struct SlidingSpans {
 }
 
 impl SlidingSpans {
-    /// Creates a slider with `half` positions of context on each side.
-    pub fn new(half: usize) -> Self {
+    fn new(half: usize) -> Self {
         Self {
             half,
             pushed: 0,
             next_center: 0,
         }
-    }
-
-    /// The context radius.
-    pub fn half(&self) -> usize {
-        self.half
-    }
-
-    /// Total positions pushed so far.
-    pub fn pushed(&self) -> usize {
-        self.pushed
-    }
-
-    /// Number of spans emitted so far (the next center to emit).
-    pub fn emitted(&self) -> usize {
-        self.next_center
     }
 
     /// The span for center `c`, clamped to the positions pushed so far.
@@ -255,7 +196,7 @@ impl SlidingSpans {
     /// Counts the next stream position; returns the newly completed span,
     /// if any (the window centered `half` positions back, once its
     /// lookahead is in).
-    pub fn push(&mut self) -> Option<WindowSpan> {
+    fn push(&mut self) -> Option<WindowSpan> {
         self.pushed += 1;
         if self.pushed > self.next_center + self.half {
             let s = self.span_for(self.next_center);
@@ -266,21 +207,9 @@ impl SlidingSpans {
         }
     }
 
-    /// Flushes the end of the stream: the spans for the remaining
-    /// centers, clamped at the right edge (mirroring the left-edge clamp
-    /// the first spans get). Consumes the slider — a finished stream is
-    /// over, and a fresh stream needs a fresh slider, so stale-state
-    /// windows mixing two streams are unrepresentable:
-    ///
-    /// ```compile_fail
-    /// use omg_core::stream::SlidingSpans;
-    ///
-    /// let mut sp = SlidingSpans::new(1);
-    /// sp.push();
-    /// let _ = sp.finish();
-    /// sp.push(); // error[E0382]: `finish` consumed the slider
-    /// ```
-    pub fn finish(self) -> impl Iterator<Item = WindowSpan> {
+    /// The spans for the remaining centers, clamped at the right edge
+    /// (mirroring the left-edge clamp the first spans get).
+    fn finish(self) -> impl Iterator<Item = WindowSpan> {
         (self.next_center..self.pushed).map(move |c| self.span_for(c))
     }
 }
@@ -302,18 +231,18 @@ pub struct Window<'a, T> {
 
 /// An incremental builder of clamped sliding windows over a stream of
 /// *owned* items — for callers that genuinely receive items one at a
-/// time and retain no stream slice of their own. Callers that do hold
-/// the stream as a slice should use the storage-free [`SlidingSpans`]
-/// and borrow windows from their own slice instead.
+/// time and retain no stream slice of their own (the multi-tenant
+/// service's sessions). Callers that do hold the stream as a slice
+/// borrow each clamped window from it directly instead.
 ///
 /// Items land in a contiguous mirror buffer (each item is moved in
 /// exactly once and never cloned — there is no `T: Clone` bound), so
 /// every emitted [`Window`] is a borrowed `&[T]` slice. The buffer
 /// holds O(window) live items; dead prefixes are compacted away in
-/// amortized O(1) per push. Emission order and clamping are exactly
-/// [`SlidingSpans`]'s: for every stream position `c`, the window
-/// `[max(0, c - half), min(c + half + 1, n))`, with `half` items of
-/// latency.
+/// amortized O(1) per push. Emission order and clamping are exactly a
+/// batch scorer's: for every stream position `c`, the window
+/// `[max(0, c - half), min(c + half + 1, n))`, in center order, with
+/// `half` items of latency.
 ///
 /// # Example
 ///
@@ -350,34 +279,22 @@ impl<T> SlidingWindows<T> {
 
     /// The context radius.
     pub fn half(&self) -> usize {
-        self.spans.half()
+        self.spans.half
     }
 
     /// Total items pushed so far.
     pub fn pushed(&self) -> usize {
-        self.spans.pushed()
-    }
-
-    /// Borrows the window a span describes from the mirror buffer.
-    fn window(&self, span: WindowSpan) -> Window<'_, T> {
-        debug_assert!(span.start >= self.base, "window start was compacted away");
-        // PANIC: the slider compacts only positions no emitted span can
-        // still reference, so span bounds stay inside the mirror buffer.
-        Window {
-            items: &self.buf[span.start - self.base..span.end - self.base],
-            center: span.center(),
-            index: span.index,
-        }
+        self.spans.pushed
     }
 
     /// Drops items no current or future window can reach, once enough
     /// have died to amortize the move of the live suffix to the front.
     fn compact(&mut self) {
-        let window = 2 * self.spans.half() + 1;
+        let window = 2 * self.spans.half + 1;
         let dead = self
             .spans
-            .emitted()
-            .saturating_sub(self.spans.half())
+            .next_center
+            .saturating_sub(self.spans.half)
             .saturating_sub(self.base);
         if dead >= window {
             // `drain` drops the dead prefix and *moves* the live suffix
@@ -395,7 +312,7 @@ impl<T> SlidingWindows<T> {
         self.compact();
         self.buf.push(item);
         let span = self.spans.push()?;
-        Some(self.window(span))
+        Some(window_in(&self.buf, self.base, span))
     }
 
     /// Flushes the end of the stream: the windows for the remaining
@@ -438,12 +355,7 @@ impl<T> TailWindows<T> {
     #[allow(clippy::should_implement_trait)] // lending: Item borrows self
     pub fn next(&mut self) -> Option<Window<'_, T>> {
         let span = self.tail.next()?;
-        // PANIC: same compaction invariant as Slider::window.
-        Some(Window {
-            items: &self.buf[span.start - self.base..span.end - self.base],
-            center: span.center(),
-            index: span.index,
-        })
+        Some(window_in(&self.buf, self.base, span))
     }
 
     /// Number of tail windows remaining.
@@ -454,6 +366,20 @@ impl<T> TailWindows<T> {
     /// Whether all tail windows have been yielded.
     pub fn is_empty(&self) -> bool {
         self.tail.len() == 0
+    }
+}
+
+/// Borrows the window a span describes from a mirror buffer whose first
+/// item is stream position `base` — shared by [`SlidingWindows::push`]
+/// and [`TailWindows::next`].
+fn window_in<T>(buf: &[T], base: usize, span: WindowSpan) -> Window<'_, T> {
+    debug_assert!(span.start >= base, "window start was compacted away");
+    // PANIC: the slider compacts only positions no emitted span can
+    // still reference, so span bounds stay inside the mirror buffer.
+    Window {
+        items: &buf[span.start - base..span.end - base],
+        center: span.center(),
+        index: span.index,
     }
 }
 
@@ -469,8 +395,12 @@ impl<T> TailWindows<T> {
 /// ([`SeverityMatrix::append`]) — no `Vec<Vec<_>>` stitching. For a pure
 /// `fill` the result is bit-for-bit identical at any thread count.
 ///
-/// This is the columnar scoring core shared by [`score_batch`] and the
-/// scenario batch drivers.
+/// This is the one columnar scoring driver: [`score_batch`] (behind
+/// [`crate::Monitor::process_batch`]) and both scenario drivers
+/// (`omg_scenario::score_scenario` and `stream_score_scenario`) run on
+/// it. Parallel runs split `0..n` into contiguous chunks of
+/// `n.div_ceil(4 * fanout)` indices, so each index is filled exactly
+/// once at any thread count.
 pub fn score_rows_chunked<F>(
     n: usize,
     width: usize,
@@ -512,10 +442,9 @@ where
 /// into a columnar [`SeverityMatrix`]: row `i` is sample `i`'s dense
 /// severity vector in assertion-id order, merged **in sample order**.
 ///
-/// This is the shared scoring core of [`crate::Monitor::process_batch`]
-/// (with [`NoPrep`]) and [`StreamMonitor::ingest_batch`]; for pure
-/// assertions and a deterministic preparer it is bit-for-bit equal to
-/// checking each sample sequentially, at any thread count.
+/// This is the scoring core of [`crate::Monitor::process_batch`]; for
+/// pure assertions and a deterministic preparer it is bit-for-bit equal
+/// to checking each sample sequentially, at any thread count.
 pub fn score_batch<S, P>(
     set: &AssertionSet<S, P>,
     preparer: &(dyn Prepare<S, Prepared = P> + '_),
@@ -534,449 +463,10 @@ where
     .0
 }
 
-/// An incremental scorer over a stream of indexed items: ingesting item
-/// `i` may complete (and score) the window centered `half` items back;
-/// [`StreamScorer::finish`] flushes the right-edge-clamped tail.
-///
-/// Implementations typically wrap a [`SlidingWindows`] over borrowed
-/// stream data plus a prepared assertion set; see
-/// [`score_stream_chunked`] for running one across a thread pool.
-pub trait StreamScorer {
-    /// The per-center report (severities, uncertainty, …).
-    type Output;
-
-    /// Ingests stream item `index`; returns the report for the newly
-    /// completed center, if any.
-    fn push(&mut self, index: usize) -> Option<Self::Output>;
-
-    /// Flushes reports for the remaining centers at end-of-stream.
-    fn finish(self) -> Vec<Self::Output>;
-}
-
-/// Runs an incremental [`StreamScorer`] over a length-`n` stream of
-/// sliding windows (context radius `half`) across the pool's workers.
-///
-/// The stream is split into contiguous chunks of centers; each worker
-/// streams its chunk with `half` items of margin re-fed on each side, so
-/// every center's window is exactly the window a single scorer — or a
-/// batch scorer — would build, and the merged output (in center order)
-/// is **identical at any thread count**. Re-feeding the margin costs
-/// `2 * half` items per chunk, amortized to nothing over chunk sizes.
-///
-/// `make_scorer` receives the global index of the first item its chunk
-/// will be fed (its ring buffer's local index 0), so scorers can map
-/// window positions back to global stream indices.
-///
-/// # Panics
-///
-/// Panics if a chunk's scorer does not emit exactly one report per
-/// center (a `StreamScorer` contract violation).
-pub fn score_stream_chunked<Sc, F>(
-    n: usize,
-    half: usize,
-    pool: &ThreadPool,
-    make_scorer: F,
-) -> Vec<Sc::Output>
-where
-    Sc: StreamScorer,
-    Sc::Output: Send,
-    F: Fn(usize) -> Sc + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    // One *effective* worker needs no chunking: a single pure stream,
-    // zero re-fed margin, exactly one preparation per window. Parallel
-    // runs use the pool's self-scheduler geometry (~4 chunks per
-    // worker, capped at the machine's cores) to balance load without
-    // shredding window-overlap locality.
-    let threads = pool.fanout();
-    let chunk = if threads == 1 {
-        n
-    } else {
-        n.div_ceil(threads * 4).max(1)
-    };
-    let n_chunks = n.div_ceil(chunk);
-    pool.map_indexed(n_chunks, |k| {
-        let c0 = k * chunk;
-        let c1 = ((k + 1) * chunk).min(n);
-        let feed_start = c0.saturating_sub(half);
-        let feed_end = (c1 + half).min(n);
-        // The margin's centers re-stream but belong to neighbouring
-        // chunks: drop the first `skip` emissions and stop at `want`.
-        let skip = c0 - feed_start;
-        let want = c1 - c0;
-        let mut scorer = make_scorer(feed_start);
-        let mut emitted = 0usize;
-        let mut out = Vec::with_capacity(want);
-        for i in feed_start..feed_end {
-            if let Some(r) = scorer.push(i) {
-                if emitted >= skip && out.len() < want {
-                    out.push(r);
-                }
-                emitted += 1;
-            }
-        }
-        if out.len() < want {
-            for r in scorer.finish() {
-                if emitted >= skip && out.len() < want {
-                    out.push(r);
-                }
-                emitted += 1;
-            }
-        }
-        assert_eq!(out.len(), want, "chunk must emit one report per center");
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// An incremental scorer that emits **columnar severity rows** instead
-/// of owned per-center values — the allocation-free counterpart of
-/// [`StreamScorer`] behind [`score_stream_rows`].
-///
-/// A completed center's severities land in the scorer's reusable row
-/// buffer ([`RowStreamScorer::row`]) and its uncertainty is the `push`
-/// return value; the driver copies the row straight into a
-/// [`SeverityMatrix`]. [`RowStreamScorer::push_skipped`] advances the
-/// window state *without scoring* — the driver uses it for the re-fed
-/// left margin of a parallel chunk, whose completed centers belong to
-/// the neighbouring chunk, so margin windows cost window bookkeeping
-/// only, never a preparation or an assertion check.
-pub trait RowStreamScorer {
-    /// Ingests stream item `index`; if the window centered `half` items
-    /// back completed, scores it — leaving its severity row in
-    /// [`RowStreamScorer::row`] — and returns its uncertainty.
-    fn push(&mut self, index: usize) -> Option<f64>;
-
-    /// Ingests stream item `index` **without scoring**: window state
-    /// advances exactly as in `push`, but any completed center is
-    /// discarded unscored. Returns whether a center completed.
-    fn push_skipped(&mut self, index: usize) -> bool;
-
-    /// The severity row of the most recently scored center (valid after
-    /// a `push` or `flush` that returned `Some`).
-    fn row(&self) -> &[f64];
-
-    /// At end-of-stream, scores the next right-edge-clamped tail center
-    /// — leaving its severity row in [`RowStreamScorer::row`] — and
-    /// returns its uncertainty; `None` once the tail is exhausted. No
-    /// `push` may follow the first `flush`.
-    fn flush(&mut self) -> Option<f64>;
-
-    /// Discards the next tail center **without scoring** (the tail
-    /// counterpart of [`RowStreamScorer::push_skipped`]); returns
-    /// whether a center remained.
-    fn flush_skipped(&mut self) -> bool;
-}
-
-/// Runs an incremental [`RowStreamScorer`] over a length-`n` stream of
-/// sliding windows (context radius `half`, `width` assertions) across
-/// the pool's workers, collecting severities columnar: a
-/// [`SeverityMatrix`] row plus one uncertainty per center, **in center
-/// order**, bit-for-bit identical at any thread count.
-///
-/// Chunking matches [`score_stream_chunked`]: one worker streams the
-/// whole thing as a single pure pass; parallel runs split centers into
-/// contiguous chunks with `half` items of margin re-fed on each side.
-/// The margins go through [`RowStreamScorer::push_skipped`], so a
-/// margin center never pays preparation or assertion checks, and each
-/// chunk stops feeding as soon as its own centers are all scored.
-/// Chunk-local matrices merge by contiguous range-copy.
-///
-/// # Panics
-///
-/// Panics if a chunk's scorer does not emit exactly one row per center
-/// (a [`RowStreamScorer`] contract violation).
-pub fn score_stream_rows<Sc, F>(
-    n: usize,
-    half: usize,
-    width: usize,
-    pool: &ThreadPool,
-    make_scorer: F,
-) -> (SeverityMatrix, Vec<f64>)
-where
-    Sc: RowStreamScorer,
-    F: Fn(usize) -> Sc + Sync,
-{
-    if n == 0 {
-        return (SeverityMatrix::with_capacity(0, width), Vec::new());
-    }
-    let threads = pool.fanout();
-    let chunk = if threads == 1 {
-        n
-    } else {
-        n.div_ceil(threads * 4).max(1)
-    };
-    let score_chunk = |k: usize| {
-        let c0 = k * chunk;
-        let c1 = ((k + 1) * chunk).min(n);
-        let feed_start = c0.saturating_sub(half);
-        let feed_end = (c1 + half).min(n);
-        // The re-fed margins' centers belong to neighbouring chunks:
-        // skip the first `skip` completions unscored, collect `want`,
-        // then stop feeding — the right margin is never even pushed.
-        let skip = c0 - feed_start;
-        let want = c1 - c0;
-        let mut scorer = make_scorer(feed_start);
-        let mut matrix = SeverityMatrix::with_capacity(want, width);
-        let mut unc = Vec::with_capacity(want);
-        let mut skipped = 0usize;
-        for i in feed_start..feed_end {
-            if matrix.len() == want {
-                break;
-            }
-            if skipped < skip {
-                skipped += usize::from(scorer.push_skipped(i));
-            } else if let Some(u) = scorer.push(i) {
-                matrix.push_row(scorer.row());
-                unc.push(u);
-            }
-        }
-        // End-of-stream tail: the driver *pulls* exactly the centers it
-        // needs, so right-margin tail centers are never scored at all.
-        while matrix.len() < want {
-            if skipped < skip {
-                assert!(scorer.flush_skipped(), "chunk must emit one row per center");
-                skipped += 1;
-            } else {
-                // PANIC: the loop bound is the accepted-center count,
-                // and flush yields exactly one row per accepted center.
-                let u = scorer.flush().expect("chunk must emit one row per center");
-                matrix.push_row(scorer.row());
-                unc.push(u);
-            }
-        }
-        (matrix, unc)
-    };
-    if threads == 1 {
-        return score_chunk(0);
-    }
-    let parts = pool.map_indexed(n.div_ceil(chunk), score_chunk);
-    let mut matrix = SeverityMatrix::with_capacity(n, width);
-    let mut unc = Vec::with_capacity(n);
-    for (part_matrix, part_unc) in &parts {
-        matrix.append(part_matrix);
-        unc.extend_from_slice(part_unc);
-    }
-    (matrix, unc)
-}
-
-/// A corrective action hook (see [`crate::Monitor::on_severity`]).
-type ActionHook<S> = Box<dyn FnMut(&S, &SampleReport) + Send>;
-
-/// The streaming runtime monitor: the prepare-once counterpart of
-/// [`crate::Monitor`].
-///
-/// Where `Monitor` runs self-contained assertions (each re-deriving
-/// whatever it needs), a `StreamMonitor` owns the set's [`Prepare`]r and
-/// runs the expensive per-sample derivation **exactly once per sample**,
-/// sharing the artifact across every assertion via
-/// [`AssertionSet::check_all_prepared`]. Everything else matches the
-/// batch monitor: outcomes append to the [`AssertionDb`], corrective
-/// actions fire in sample order, and the emitted [`SampleReport`]s are
-/// bit-for-bit what `Monitor::process` would produce on the same stream.
-///
-/// # Example
-///
-/// ```
-/// use omg_core::stream::{FnPrepare, StreamMonitor};
-/// use omg_core::{AssertionSet, Severity};
-///
-/// // Shared preparation: the (expensive, imagine) sum of the sample.
-/// let mut set: AssertionSet<Vec<i64>, i64> = AssertionSet::new();
-/// set.add_prepared(
-///     omg_core::FnAssertion::new("negative-sum", |xs: &Vec<i64>| {
-///         Severity::from_bool(xs.iter().sum::<i64>() < 0)
-///     }),
-///     |_, &sum| Severity::from_bool(sum < 0),
-/// );
-/// let mut m = StreamMonitor::new(set, FnPrepare::new(|xs: &Vec<i64>| xs.iter().sum()));
-/// assert!(m.ingest(&vec![-2, 1]).any_fired());
-/// assert!(!m.ingest(&vec![2, 1]).any_fired());
-/// assert_eq!(m.samples_processed(), 2);
-/// assert_eq!(m.prepare_count(), 2);
-/// ```
-pub struct StreamMonitor<S, P = ()> {
-    assertions: AssertionSet<S, P>,
-    preparer: Box<dyn Prepare<S, Prepared = P>>,
-    db: AssertionDb,
-    next_sample: usize,
-    prepares: usize,
-    actions: Vec<(Severity, ActionHook<S>)>,
-    /// Optional retention cap: after every commit the database keeps at
-    /// most this many recent sample rows (see
-    /// [`AssertionDb::retain_recent`]). `None` retains everything.
-    retention: Option<usize>,
-}
-
-impl<S: 'static, P: Send + 'static> StreamMonitor<S, P> {
-    /// Creates a streaming monitor around an assertion set and the
-    /// preparer producing its shared artifact.
-    pub fn new<Pr>(assertions: AssertionSet<S, P>, preparer: Pr) -> Self
-    where
-        Pr: Prepare<S, Prepared = P> + 'static,
-    {
-        Self {
-            assertions,
-            preparer: Box::new(preparer),
-            db: AssertionDb::new(),
-            next_sample: 0,
-            prepares: 0,
-            actions: Vec::new(),
-            retention: None,
-        }
-    }
-
-    /// Caps the database at the `keep` most recent sample rows: after
-    /// every ingest, older rows are evicted (lifetime fire counters
-    /// survive — see [`AssertionDb`]'s retention docs). This is what
-    /// keeps a long-lived monitor's memory flat under unbounded traffic;
-    /// reports and corrective actions are unaffected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep` is zero.
-    #[must_use]
-    pub fn with_retention(mut self, keep: usize) -> Self {
-        assert!(keep > 0, "retention cap must keep at least one sample");
-        self.retention = Some(keep);
-        self
-    }
-
-    /// The registered assertions.
-    pub fn assertions(&self) -> &AssertionSet<S, P> {
-        &self.assertions
-    }
-
-    /// Mutable access for registering assertions.
-    pub fn assertions_mut(&mut self) -> &mut AssertionSet<S, P> {
-        &mut self.assertions
-    }
-
-    /// The assertion database accumulated so far.
-    pub fn db(&self) -> &AssertionDb {
-        &self.db
-    }
-
-    /// Number of samples ingested.
-    pub fn samples_processed(&self) -> usize {
-        self.next_sample
-    }
-
-    /// Number of preparation runs so far — the prepare-once invariant
-    /// makes this exactly [`StreamMonitor::samples_processed`].
-    pub fn prepare_count(&self) -> usize {
-        self.prepares
-    }
-
-    /// Registers a corrective action invoked whenever a sample's maximum
-    /// severity is at least `threshold` (see
-    /// [`crate::Monitor::on_severity`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` does not fire.
-    pub fn on_severity<F>(&mut self, threshold: Severity, action: F)
-    where
-        F: FnMut(&S, &SampleReport) + Send + 'static,
-    {
-        assert!(
-            threshold.fired(),
-            "corrective-action threshold must be positive"
-        );
-        self.actions.push((threshold, Box::new(action)));
-    }
-
-    /// Records a scored sample and fires corrective actions.
-    fn commit(&mut self, sample: &S, outcomes: Vec<(AssertionId, Severity)>) -> SampleReport {
-        let report = SampleReport {
-            sample: self.next_sample,
-            outcomes,
-        };
-        self.db.record_sample(report.sample, &report.outcomes);
-        self.next_sample += 1;
-        if let Some(keep) = self.retention {
-            self.db.retain_recent(keep);
-        }
-        let max = report.max_severity();
-        for (threshold, action) in &mut self.actions {
-            if max >= *threshold {
-                action(sample, &report);
-            }
-        }
-        report
-    }
-
-    /// Ingests one sample: prepares once, checks every assertion against
-    /// the shared artifact, records the outcomes, and fires corrective
-    /// actions.
-    pub fn ingest(&mut self, sample: &S) -> SampleReport {
-        let prep = self.preparer.prepare(sample);
-        self.prepares += 1;
-        let outcomes = self.assertions.check_all_prepared(sample, &prep);
-        self.commit(sample, outcomes)
-    }
-
-    /// Ingests a batch: scoring (one preparation + all checks per
-    /// sample) fans out across the pool's workers, then reports merge,
-    /// record, and fire actions in sample order — bit-for-bit what
-    /// calling [`StreamMonitor::ingest`] per sample would produce.
-    pub fn ingest_batch(&mut self, samples: &[S], pool: &ThreadPool) -> Vec<SampleReport>
-    where
-        S: Sync,
-    {
-        let matrix = score_batch(&self.assertions, self.preparer.as_ref(), samples, pool);
-        self.prepares += samples.len();
-        let first = self.next_sample;
-        self.db.record_matrix(first, &matrix);
-        self.next_sample += samples.len();
-        if let Some(keep) = self.retention {
-            self.db.retain_recent(keep);
-        }
-        let mut reports = Vec::with_capacity(samples.len());
-        for (i, row) in matrix.iter_rows().enumerate() {
-            // Severity::new round-trips each raw value exactly, so the
-            // reconstructed outcome rows are bit-for-bit what the
-            // sequential per-sample path produces.
-            let outcomes: Vec<(AssertionId, Severity)> = row
-                .iter()
-                .enumerate()
-                .map(|(m, &v)| (AssertionId(m), Severity::new(v)))
-                .collect();
-            let report = SampleReport {
-                sample: first + i,
-                outcomes,
-            };
-            let max = report.max_severity();
-            for (threshold, action) in &mut self.actions {
-                if max >= *threshold {
-                    action(&samples[i], &report);
-                }
-            }
-            reports.push(report);
-        }
-        reports
-    }
-}
-
-impl<S: 'static, P: Send + 'static> std::fmt::Debug for StreamMonitor<S, P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamMonitor")
-            .field("assertions", &self.assertions.names())
-            .field("samples_processed", &self.next_sample)
-            .field("prepares", &self.prepares)
-            .field("actions", &self.actions.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Monitor;
+    use crate::{AssertionId, Monitor, SampleReport, Severity};
 
     /// A set whose assertions share a (counted) "expensive" derivation:
     /// the sum of the sample.
@@ -1157,9 +647,9 @@ mod tests {
         let mut sp = SlidingSpans::new(1);
         sp.push();
         let s = sp.push().expect("center 0");
-        assert_eq!((s.len(), s.center(), s.is_empty()), (2, 0, false));
-        assert_eq!(sp.emitted(), 1);
-        assert_eq!(sp.pushed(), 2);
+        assert_eq!((s.start, s.end, s.center()), (0, 2, 0));
+        assert_eq!(sp.next_center, 1);
+        assert_eq!(sp.pushed, 2);
     }
 
     #[test]
@@ -1171,27 +661,25 @@ mod tests {
         }
     }
 
+    fn sum_prep() -> FnPrepare<fn(&Vec<i64>) -> i64> {
+        FnPrepare::new(|xs| xs.iter().sum())
+    }
+
     #[test]
     fn stream_monitor_matches_batch_monitor() {
         let samples = samples();
         let mut reference = Monitor::with_assertions(plain_set());
         let want: Vec<_> = samples.iter().map(|s| reference.process(s)).collect();
 
-        let mut stream = StreamMonitor::new(
-            prepared_set(),
-            FnPrepare::new(|xs: &Vec<i64>| xs.iter().sum::<i64>()),
-        );
-        let got: Vec<_> = samples.iter().map(|s| stream.ingest(s)).collect();
+        let mut stream = Monitor::with_preparer(prepared_set(), sum_prep());
+        let got: Vec<_> = samples.iter().map(|s| stream.process(s)).collect();
         assert_eq!(got, want);
         assert_eq!(stream.db(), reference.db());
         assert_eq!(stream.prepare_count(), samples.len());
 
         for threads in [1, 2, 8] {
-            let mut batch = StreamMonitor::new(
-                prepared_set(),
-                FnPrepare::new(|xs: &Vec<i64>| xs.iter().sum::<i64>()),
-            );
-            let reports = batch.ingest_batch(&samples, &ThreadPool::exact(threads));
+            let mut batch = Monitor::with_preparer(prepared_set(), sum_prep());
+            let reports = batch.process_batch(&samples, &ThreadPool::exact(threads));
             assert_eq!(reports, want, "threads={threads}");
             assert_eq!(batch.db(), reference.db(), "threads={threads}");
             assert_eq!(batch.prepare_count(), samples.len());
@@ -1201,14 +689,11 @@ mod tests {
     #[test]
     fn counting_prepare_counts_once_per_sample() {
         let counter = Arc::new(AtomicUsize::new(0));
-        let probe = CountingPrepare::new(
-            FnPrepare::new(|xs: &Vec<i64>| xs.iter().sum::<i64>()),
-            counter.clone(),
-        );
-        let mut m = StreamMonitor::new(prepared_set(), probe);
+        let probe = CountingPrepare::new(sum_prep(), counter.clone());
+        let mut m = Monitor::with_preparer(prepared_set(), probe);
         let samples = samples();
-        m.ingest_batch(&samples, &ThreadPool::exact(4));
-        m.ingest(&samples[0]);
+        m.process_batch(&samples, &ThreadPool::exact(4));
+        m.process(&samples[0]);
         assert_eq!(counter.load(Ordering::SeqCst), samples.len() + 1);
     }
 
@@ -1216,31 +701,21 @@ mod tests {
     fn stream_monitor_fires_actions_in_sample_order() {
         let fired = Arc::new(std::sync::Mutex::new(Vec::new()));
         let fired2 = fired.clone();
-        let mut m = StreamMonitor::new(
-            prepared_set(),
-            FnPrepare::new(|xs: &Vec<i64>| xs.iter().sum::<i64>()),
-        );
+        let mut m = Monitor::with_preparer(prepared_set(), sum_prep());
         m.on_severity(Severity::new(1.5), move |_, r: &SampleReport| {
             fired2.lock().unwrap().push(r.sample);
         });
-        m.ingest_batch(&samples(), &ThreadPool::exact(4));
+        m.process_batch(&samples(), &ThreadPool::exact(4));
         assert_eq!(*fired.lock().unwrap(), vec![2, 4]);
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
-    fn abstain_threshold_rejected() {
-        StreamMonitor::new(prepared_set(), NoPrep2()).on_severity(Severity::ABSTAIN, |_, _| {});
-    }
-
-    #[test]
     fn retention_caps_resident_db_without_changing_reports() {
-        let prep = || FnPrepare::new(|xs: &Vec<i64>| xs.iter().sum::<i64>());
-        let mut unbounded = StreamMonitor::new(prepared_set(), prep());
-        let mut capped = StreamMonitor::new(prepared_set(), prep()).with_retention(2);
+        let mut unbounded = Monitor::with_preparer(prepared_set(), sum_prep());
+        let mut capped = Monitor::with_preparer(prepared_set(), sum_prep()).with_retention(2);
         let stream: Vec<Vec<i64>> = (0..20).map(|i| vec![i - 10, 3]).collect();
         for sample in &stream {
-            assert_eq!(capped.ingest(sample), unbounded.ingest(sample));
+            assert_eq!(capped.process(sample), unbounded.process(sample));
         }
         assert!(
             capped.db().len() <= 2 * capped.assertions().len(),
@@ -1255,8 +730,8 @@ mod tests {
             unbounded.db().fire_counts()
         );
         // The batch path applies the same cap.
-        let mut batch = StreamMonitor::new(prepared_set(), prep()).with_retention(2);
-        batch.ingest_batch(&stream, &ThreadPool::exact(4));
+        let mut batch = Monitor::with_preparer(prepared_set(), sum_prep()).with_retention(2);
+        batch.process_batch(&stream, &ThreadPool::exact(4));
         assert_eq!(batch.db().evicted_before(), 18);
         assert_eq!(batch.db().lifetime_len(), unbounded.db().len());
     }
@@ -1264,96 +739,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one")]
     fn zero_retention_rejected() {
-        let _ = StreamMonitor::new(prepared_set(), NoPrep2()).with_retention(0);
-    }
-
-    /// NoPrep over a prepared set needs a preparer with `Prepared = i64`;
-    /// a tiny stub keeps the panic test honest.
-    struct NoPrep2();
-    impl Prepare<Vec<i64>> for NoPrep2 {
-        type Prepared = i64;
-        fn prepare(&self, _s: &Vec<i64>) -> i64 {
-            0
-        }
+        let _ = Monitor::with_preparer(prepared_set(), sum_prep()).with_retention(0);
     }
 
     #[test]
     fn no_prep_runs_plain_sets_on_the_stream_engine() {
-        let mut m = StreamMonitor::new(plain_set(), NoPrep);
-        let r = m.ingest(&vec![-3]);
+        let mut m = Monitor::with_preparer(plain_set(), NoPrep);
+        let r = m.process(&vec![-3]);
         assert!(r.fired(AssertionId(0)));
+        assert_eq!(m.prepare_count(), 1);
         assert!(format!("{m:?}").contains("negative-sum"));
-    }
-
-    /// A toy incremental scorer: the sum of each clamped window, borrowed
-    /// straight from the shared data slice via an index-emitting slider —
-    /// no item is ever copied. `offset` maps the slider's local spans
-    /// back to global stream indices.
-    struct SumScorer<'a> {
-        data: &'a [i64],
-        offset: usize,
-        spans: SlidingSpans,
-    }
-
-    impl SumScorer<'_> {
-        fn score(&self, s: WindowSpan) -> (usize, i64) {
-            let window = &self.data[self.offset + s.start..self.offset + s.end];
-            (self.offset + s.index, window.iter().sum())
-        }
-    }
-
-    impl StreamScorer for SumScorer<'_> {
-        type Output = (usize, i64);
-
-        fn push(&mut self, index: usize) -> Option<(usize, i64)> {
-            debug_assert_eq!(index, self.offset + self.spans.pushed());
-            self.spans.push().map(|s| self.score(s))
-        }
-
-        fn finish(mut self) -> Vec<(usize, i64)> {
-            // Swap the slider out so `self` stays borrowable for `score`
-            // (`finish` consumes the slider by design).
-            let spans = std::mem::replace(&mut self.spans, SlidingSpans::new(0));
-            spans.finish().map(|s| self.score(s)).collect()
-        }
-    }
-
-    #[test]
-    fn chunked_stream_scoring_matches_batch_windows() {
-        let data: Vec<i64> = (0..97).map(|i| (i * 31 % 17) - 8).collect();
-        let n = data.len();
-        for half in [0usize, 1, 2, 5] {
-            // Batch reference: clamped window sums from the full slice.
-            let want: Vec<(usize, i64)> = (0..n)
-                .map(|c| {
-                    let lo = c.saturating_sub(half);
-                    let hi = (c + half + 1).min(n);
-                    (c, data[lo..hi].iter().sum())
-                })
-                .collect();
-            for threads in [1, 2, 8] {
-                let got = score_stream_chunked(n, half, &ThreadPool::exact(threads), |offset| {
-                    SumScorer {
-                        data: &data,
-                        offset,
-                        spans: SlidingSpans::new(half),
-                    }
-                });
-                assert_eq!(got, want, "half={half} threads={threads}");
-            }
-        }
-        let empty = score_stream_chunked(0, 2, &ThreadPool::exact(4), |offset| SumScorer {
-            data: &data,
-            offset,
-            spans: SlidingSpans::new(2),
-        });
-        assert!(empty.is_empty());
     }
 
     #[test]
     fn score_batch_is_thread_count_invariant() {
         let set = prepared_set();
-        let preparer = FnPrepare::new(|xs: &Vec<i64>| xs.iter().sum::<i64>());
+        let preparer = sum_prep();
         let samples = samples();
         let want = score_batch(&set, &preparer, &samples, &ThreadPool::sequential());
         assert_eq!(want.len(), samples.len());
@@ -1398,136 +799,24 @@ mod tests {
         assert!(empty.is_empty() && unc.is_empty());
     }
 
-    /// The row-emitting counterpart of `SumScorer`: window sum in a
-    /// 1-wide severity row, window length as the uncertainty. Counts its
-    /// scored (not skipped) centers so tests can assert margins are
-    /// never scored.
-    struct SumRowScorer<'a> {
-        data: &'a [i64],
-        offset: usize,
-        spans: Option<SlidingSpans>,
-        tail: std::vec::IntoIter<WindowSpan>,
-        row: Vec<f64>,
-        scored: &'a AtomicUsize,
-    }
-
-    impl<'a> SumRowScorer<'a> {
-        fn new(data: &'a [i64], offset: usize, half: usize, scored: &'a AtomicUsize) -> Self {
-            Self {
-                data,
-                offset,
-                spans: Some(SlidingSpans::new(half)),
-                tail: Vec::new().into_iter(),
-                row: Vec::new(),
-                scored,
-            }
-        }
-
-        fn score(&mut self, s: WindowSpan) -> f64 {
-            self.scored.fetch_add(1, Ordering::Relaxed);
-            let window = &self.data[self.offset + s.start..self.offset + s.end];
-            self.row.clear();
-            self.row.push(window.iter().sum::<i64>() as f64);
-            window.len() as f64
-        }
-
-        fn next_tail(&mut self) -> Option<WindowSpan> {
-            if let Some(spans) = self.spans.take() {
-                self.tail = spans.finish().collect::<Vec<_>>().into_iter();
-            }
-            self.tail.next()
-        }
-    }
-
-    impl RowStreamScorer for SumRowScorer<'_> {
-        fn push(&mut self, index: usize) -> Option<f64> {
-            let spans = self.spans.as_mut().expect("push after flush");
-            debug_assert_eq!(index, self.offset + spans.pushed());
-            spans.push().map(|s| self.score(s))
-        }
-
-        fn push_skipped(&mut self, index: usize) -> bool {
-            let spans = self.spans.as_mut().expect("push after flush");
-            debug_assert_eq!(index, self.offset + spans.pushed());
-            spans.push().is_some()
-        }
-
-        fn row(&self) -> &[f64] {
-            &self.row
-        }
-
-        fn flush(&mut self) -> Option<f64> {
-            self.next_tail().map(|s| self.score(s))
-        }
-
-        fn flush_skipped(&mut self) -> bool {
-            self.next_tail().is_some()
-        }
-    }
-
-    #[test]
-    fn row_stream_scoring_matches_batch_and_never_scores_margins() {
-        let data: Vec<i64> = (0..97).map(|i| (i * 31 % 17) - 8).collect();
-        let n = data.len();
-        for half in [0usize, 1, 2, 5] {
-            let mut want = SeverityMatrix::with_capacity(n, 1);
-            let mut want_unc = Vec::with_capacity(n);
-            for c in 0..n {
-                let lo = c.saturating_sub(half);
-                let hi = (c + half + 1).min(n);
-                want.push_row(&[data[lo..hi].iter().sum::<i64>() as f64]);
-                want_unc.push((hi - lo) as f64);
-            }
-            for threads in [1, 2, 8] {
-                let scored = AtomicUsize::new(0);
-                let got = score_stream_rows(n, half, 1, &ThreadPool::exact(threads), |offset| {
-                    SumRowScorer::new(&data, offset, half, &scored)
-                });
-                assert_eq!(got.0, want, "half={half} threads={threads}");
-                assert_eq!(got.1, want_unc, "half={half} threads={threads}");
-                // Margin centers go through push_skipped: every center is
-                // scored exactly once no matter how many chunks re-feed
-                // its window's items.
-                assert_eq!(
-                    scored.load(Ordering::Relaxed),
-                    n,
-                    "half={half} threads={threads}: margins must not be scored"
-                );
-            }
-        }
-        let scored = AtomicUsize::new(0);
-        let (matrix, unc) = score_stream_rows(0, 2, 1, &ThreadPool::exact(4), |offset| {
-            SumRowScorer::new(&data, offset, 2, &scored)
-        });
-        assert!(matrix.is_empty() && unc.is_empty());
-    }
-
     /// The zero-respawn probe of the persistent runtime: a streaming hot
-    /// loop that re-enters the scoring drivers repeatedly must never
+    /// loop that re-enters the scoring driver repeatedly must never
     /// create a thread beyond the pool's initial workers.
     #[test]
     fn repeated_stream_scoring_never_respawns_workers() {
         let data: Vec<i64> = (0..500).map(|i| (i % 13) as i64 - 6).collect();
+        // Clamped window sums, as the scenario drivers fill their rows.
+        let fill = |i: usize, row: &mut Vec<f64>| {
+            let (lo, hi) = (i.saturating_sub(2), (i + 3).min(data.len()));
+            row.clear();
+            row.push(data[lo..hi].iter().sum::<i64>() as f64);
+            (hi - lo) as f64
+        };
         let pool = ThreadPool::exact(4);
         assert_eq!(pool.spawned_workers(), 3, "workers spawn at construction");
-        let want = score_stream_chunked(data.len(), 2, &ThreadPool::sequential(), |offset| {
-            SumScorer {
-                data: &data,
-                offset,
-                spans: SlidingSpans::new(2),
-            }
-        });
+        let want = score_rows_chunked(data.len(), 1, &ThreadPool::sequential(), fill);
         for _ in 0..25 {
-            let got = score_stream_chunked(data.len(), 2, &pool, |offset| SumScorer {
-                data: &data,
-                offset,
-                spans: SlidingSpans::new(2),
-            });
-            assert_eq!(got, want);
-            let scored = AtomicUsize::new(0);
-            let _ = score_stream_rows(data.len(), 2, 1, &pool, |offset| {
-                SumRowScorer::new(&data, offset, 2, &scored)
-            });
+            assert_eq!(score_rows_chunked(data.len(), 1, &pool, fill), want);
         }
         assert_eq!(
             pool.spawned_workers(),

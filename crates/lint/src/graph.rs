@@ -197,13 +197,22 @@ impl RootSpec {
 /// The hot-path roots: the scoring drivers the paper's replication
 /// invariants (stream==batch, indexed==reference, service==sequential)
 /// are stated over, the pool's parallel map (the closures it runs are
-/// scoring closures), the geometry matcher entry points, and the
-/// assertion factories (see module docs for why factories are roots).
+/// scoring closures), the geometry matcher entry points, the assertion
+/// factories (see module docs for why factories are roots), and the
+/// service's window flush and the selection strategies' per-candidate
+/// score — rooted by name so their reachability does not hang on an
+/// unrelated same-named call elsewhere.
 pub const ROOTS: &[RootSpec] = &[
     RootSpec::File("crates/scenario/src/drivers.rs"),
     RootSpec::File("crates/geom/src/matchers.rs"),
     RootSpec::Method("ThreadPool", "map_indexed"),
     RootSpec::Method("ThreadPool", "map_indexed_coarse"),
+    RootSpec::Method("MonitorService", "finish"),
+    RootSpec::Method("SlidingWindows", "finish"),
+    RootSpec::Method("SlidingWindows", "pushed"),
+    RootSpec::Method("TailWindows", "next"),
+    // Every `SelectionStrategy::score` impl (the only fns so named).
+    RootSpec::Name("score"),
     RootSpec::NameSuffix("_assertion"),
     RootSpec::NameSuffix("_assertion_set"),
     RootSpec::Name("assertion_set"),
@@ -439,6 +448,18 @@ mod tests {
             (
                 "crates/domains/src/video.rs",
                 "pub fn flicker_assertion() {}\npub fn video_assertion_set() {}\nimpl S { pub fn assertion_set(&self) {} pub fn prepared_set(&self) {} pub fn preparer(&self) {} }",
+            ),
+            (
+                "crates/core/src/stream.rs",
+                "impl<T> SlidingWindows<T> { pub fn pushed(&self) {} pub fn finish(self) {} }\nimpl<T> TailWindows<T> { pub fn next(&mut self) {} }",
+            ),
+            (
+                "crates/service/src/service.rs",
+                "impl<Sc> MonitorService<Sc> { pub fn finish(&self) {} }",
+            ),
+            (
+                "crates/active/src/strategy.rs",
+                "impl SelectionStrategy for RandomStrategy { fn score(&self) {} }",
             ),
         ]);
         let (roots, missing) = resolve_roots(&g, &m);

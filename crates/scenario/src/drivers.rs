@@ -1,20 +1,25 @@
 //! The generic scoring drivers every scenario runs through.
 //!
-//! Both paths return, per stream position, the dense per-assertion
-//! severity row — collected **columnar**, as one contiguous
-//! [`SeverityMatrix`] — and the model uncertainty: the inputs the
-//! selection strategies consume. Both are deterministic, input-order
-//! merged, and bit-for-bit identical to each other at any thread count
-//! (the registry-driven conformance suite enforces this for every
-//! registered scenario).
+//! Both drivers are one [`score_rows_chunked`] call over the clamped
+//! window of every stream position, and return, per position, the
+//! dense per-assertion severity row — collected **columnar**, as one
+//! contiguous [`SeverityMatrix`] — and the model uncertainty: the
+//! inputs the selection strategies consume. Both are deterministic,
+//! input-order merged, and bit-for-bit identical to each other at any
+//! thread count (the registry-driven conformance suite enforces this
+//! for every registered scenario).
 
 use omg_core::runtime::ThreadPool;
-use omg_core::stream::{
-    score_rows_chunked, score_stream_rows, Prepare, RowStreamScorer, SlidingSpans, WindowSpan,
-};
+use omg_core::stream::{score_rows_chunked, Prepare};
 use omg_core::{AssertionSet, SeverityMatrix};
 
 use crate::Scenario;
+
+/// The clamped window of stream position `i` in a length-`n` stream
+/// with `half` items of context on each side: `[lo, hi)`.
+fn clamped(i: usize, half: usize, n: usize) -> (usize, usize) {
+    (i.saturating_sub(half), (i + half + 1).min(n))
+}
 
 /// Batch-scores a scenario's item stream: for each position, the clamped
 /// window of `window_half` items of context becomes a sample checked
@@ -31,11 +36,10 @@ pub fn score_scenario<Sc: Scenario>(
 ) -> (SeverityMatrix, Vec<f64>) {
     let half = scenario.window_half();
     let n = items.len();
-    // PANIC: score_rows_chunked feeds i < n, and lo <= i < hi <= n by
-    // the saturating/clamped arithmetic above each use.
+    // PANIC: score_rows_chunked feeds i < n, and clamped() keeps
+    // lo <= i < hi <= n.
     score_rows_chunked(n, set.len(), pool, |i, row| {
-        let lo = i.saturating_sub(half);
-        let hi = (i + half + 1).min(n);
+        let (lo, hi) = clamped(i, half, n);
         let sample = scenario.make_sample(&items[lo..hi], i - lo);
         row.clear();
         row.extend(set.check_all(&sample).iter().map(|&(_, s)| s.value()));
@@ -43,44 +47,17 @@ pub fn score_scenario<Sc: Scenario>(
     })
 }
 
-/// An incremental scorer over one chunk of a scenario's item stream:
-/// counts items one at a time through an index-emitting slider, borrows
-/// each completed window **in place** from the caller's item slice (no
-/// item is ever cloned — the slider stores indices, not items), prepares
-/// it once, and checks the prepared assertion set against the shared
-/// artifact into a dense severity-row buffer reused across every center.
-/// Margin centers of a parallel chunk go through the skipped path —
-/// window bookkeeping only, no preparation, no checks. This one type
-/// replaces the per-scenario stream scorers the use cases used to
-/// hand-roll.
-struct ScenarioStreamScorer<'a, Sc: Scenario> {
-    scenario: &'a Sc,
-    set: &'a AssertionSet<Sc::Sample, Sc::Prep>,
-    preparer: &'a (dyn Prepare<Sc::Sample, Prepared = Sc::Prep> + 'a),
-    items: &'a [Sc::Item],
-    /// Global index of the first item this scorer is fed (chunk start);
-    /// the slider's spans are relative to it.
-    offset: usize,
-    /// `Some` while the stream is still being pushed; taken by the first
-    /// tail flush (the slider's `finish` consumes it by design).
-    spans: Option<SlidingSpans>,
-    /// Right-edge-clamped tail spans, materialized at the first flush.
-    tail: std::vec::IntoIter<WindowSpan>,
-    /// The dense severity row reused across centers.
-    row: Vec<f64>,
-}
-
-/// Scores **one** clamped window on the incremental path: builds the
+/// Scores **one** clamped window on the prepared path: builds the
 /// sample, runs the shared preparation exactly once, checks the prepared
 /// set into the caller's reusable dense severity row (raw values in
 /// assertion-id order — a [`SeverityMatrix`] row), and returns the
 /// uncertainty of `window[center]`.
 ///
 /// This is the single scoring kernel behind both
-/// [`stream_score_scenario`] (which feeds it slider-emitted spans) and
-/// the multi-tenant service's per-session shards — sharing it is what
-/// makes the service path bit-for-bit equal to the streaming path *by
-/// construction*, not by coincidence.
+/// [`stream_score_scenario`] (which feeds it the clamped window of every
+/// position) and the multi-tenant service's per-session shards —
+/// sharing it is what makes the service path bit-for-bit equal to the
+/// streaming path *by construction*, not by coincidence.
 pub fn score_window<Sc: Scenario>(
     scenario: &Sc,
     set: &AssertionSet<Sc::Sample, Sc::Prep>,
@@ -93,72 +70,19 @@ pub fn score_window<Sc: Scenario>(
     let prep = preparer.prepare(&sample);
     set.check_all_prepared_values(&sample, &prep, values);
     // PANIC: center < window.len() is this fn's documented contract;
-    // WindowSpans emits only in-range centers.
+    // both callers pass the center of a clamped window.
     scenario.uncertainty(&window[center])
 }
 
-impl<Sc: Scenario> ScenarioStreamScorer<'_, Sc> {
-    fn score(&mut self, span: WindowSpan) -> f64 {
-        // PANIC: spans emitted by WindowSpans stay inside the pushed
-        // prefix of this chunk, which `items` fully contains.
-        let window = &self.items[self.offset + span.start..self.offset + span.end];
-        score_window(
-            self.scenario,
-            self.set,
-            self.preparer,
-            window,
-            span.center(),
-            &mut self.row,
-        )
-    }
-
-    fn next_tail(&mut self) -> Option<WindowSpan> {
-        if let Some(spans) = self.spans.take() {
-            self.tail = spans.finish().collect::<Vec<_>>().into_iter();
-        }
-        self.tail.next()
-    }
-}
-
-impl<Sc: Scenario> RowStreamScorer for ScenarioStreamScorer<'_, Sc> {
-    fn push(&mut self, index: usize) -> Option<f64> {
-        // PANIC: pushing after finish() is a caller contract violation
-        // the StreamScorer protocol documents; fail loudly.
-        let spans = self.spans.as_mut().expect("push after flush");
-        debug_assert_eq!(index, self.offset + spans.pushed(), "gapless feed");
-        spans.push().map(|s| self.score(s))
-    }
-
-    fn push_skipped(&mut self, index: usize) -> bool {
-        // PANIC: same push-after-flush contract as push().
-        let spans = self.spans.as_mut().expect("push after flush");
-        debug_assert_eq!(index, self.offset + spans.pushed(), "gapless feed");
-        spans.push().is_some()
-    }
-
-    fn row(&self) -> &[f64] {
-        &self.row
-    }
-
-    fn flush(&mut self) -> Option<f64> {
-        self.next_tail().map(|s| self.score(s))
-    }
-
-    fn flush_skipped(&mut self) -> bool {
-        self.next_tail().is_some()
-    }
-}
-
-/// Stream-scores a scenario's item stream: the incremental counterpart
-/// of [`score_scenario`], computing identical severities and
-/// uncertainties with **zero item copies** (windows are borrowed slices
-/// of `items`, described by an index-emitting slider) and **one**
-/// preparation per window (shared by every assertion in the prepared
-/// set) instead of one per assertion. Chunks of the stream fan out
-/// across the persistent pool's workers with `window_half` items of
-/// re-fed margin — margin centers are never scored, only counted — and
-/// chunk-local severity blocks merge in stream order by range-copy:
-/// bit-for-bit equal to the batch path at any thread count.
+/// Stream-scores a scenario's item stream: the prepared counterpart of
+/// [`score_scenario`], computing identical severities and uncertainties
+/// with **zero item copies** (each window is a borrowed slice of
+/// `items`) and **one** preparation per window (shared by every
+/// assertion in the prepared set) instead of one per assertion. Chunks
+/// of positions fan out across the persistent pool's workers and merge
+/// in stream order by range-copy; every position is scored by exactly
+/// one chunk, so there is still one preparation per window at any
+/// thread count, bit-for-bit equal to the batch path.
 ///
 /// The preparer is a parameter (rather than taken from the scenario) so
 /// callers can wrap it — the conformance suite passes a
@@ -172,17 +96,12 @@ pub fn stream_score_scenario<Sc: Scenario>(
     pool: &ThreadPool,
 ) -> (SeverityMatrix, Vec<f64>) {
     let half = scenario.window_half();
-    score_stream_rows(items.len(), half, set.len(), pool, |offset| {
-        ScenarioStreamScorer {
-            scenario,
-            set,
-            preparer,
-            items,
-            offset,
-            spans: Some(SlidingSpans::new(half)),
-            tail: Vec::new().into_iter(),
-            row: Vec::with_capacity(set.len()),
-        }
+    let n = items.len();
+    // PANIC: score_rows_chunked feeds i < n, and clamped() keeps
+    // lo <= i < hi <= n.
+    score_rows_chunked(n, set.len(), pool, |i, row| {
+        let (lo, hi) = clamped(i, half, n);
+        score_window(scenario, set, preparer, &items[lo..hi], i - lo, row)
     })
 }
 
@@ -220,9 +139,9 @@ mod tests {
         assert_eq!(counter.load(Ordering::SeqCst), items.len());
     }
 
-    /// Parallel streaming must prepare each *owned* center exactly once
-    /// too: re-fed chunk margins go through the skipped path, which does
-    /// pure window arithmetic — no preparation, no assertion checks.
+    /// Parallel streaming must prepare each center exactly once too:
+    /// every position belongs to exactly one chunk, and a chunk borrows
+    /// its windows' context items without preparing their centers.
     #[test]
     fn parallel_streaming_never_prepares_margin_centers() {
         let sc = ToyScenario::new(97);

@@ -13,12 +13,15 @@
 //! * [`score_scenario`] — the batch reference path: every center's
 //!   clamped window checked with the self-contained assertion set,
 //!   fanned out across a [`ThreadPool`] and merged in stream order.
-//! * [`stream_score_scenario`] — the incremental path: one
-//!   [`omg_core::stream::SlidingSpans`] index slider per chunk emitting
+//! * [`stream_score_scenario`] — the prepared path: the same clamped
 //!   windows as *borrowed slices* of the item stream (zero item clones,
-//!   one reused severity row), one [`omg_core::stream::Prepare`] run per
-//!   window shared by the whole prepared set, bit-for-bit equal to the
-//!   batch path at any thread count.
+//!   one reused severity row per worker), one
+//!   [`omg_core::stream::Prepare`] run per window shared by the whole
+//!   prepared set ([`score_window`]), bit-for-bit equal to the batch
+//!   path at any thread count.
+//!
+//!   Both are one [`omg_core::stream::score_rows_chunked`] call; they
+//!   differ only in the per-window kernel.
 //! * [`ScenarioLearner`] — the [`omg_active::ActiveLearner`] for any
 //!   scenario that trains: score pool (streaming), label the selection,
 //!   retrain, evaluate.

@@ -314,6 +314,38 @@ mod tests {
         assert_eq!(svc.sessions(), 0, "delivered idle session evicted");
     }
 
+    /// Regression: `finish` used to count the windows its final drain
+    /// scored twice in `SessionReport::scored` (once inside the drain,
+    /// again with the flushed tail) — 5 queued items reported 9 scored
+    /// windows for 5 delivered rows.
+    #[test]
+    fn finish_counts_every_scored_window_once() {
+        let svc = MonitorService::new(Toy { n: 5 }, ServiceConfig::default());
+        let items = svc.scenario().run_model(&());
+        // `drained` is drained mid-stream; `queued` first sees its
+        // items after that drain, so finish scores all five.
+        let (queued, drained) = (SessionId(0), SessionId(1));
+        for (k, &item) in items.iter().enumerate() {
+            svc.try_ingest(drained, item).expect("capacity");
+            if k == 2 {
+                svc.drain(&ThreadPool::sequential());
+            }
+        }
+        for &item in &items {
+            svc.try_ingest(queued, item).expect("capacity");
+        }
+        for session in [queued, drained] {
+            // Nothing was polled, so the report carries every row.
+            let report = svc.finish(session).expect("open session");
+            assert_eq!(
+                (report.scored, report.scores.0.len(), report.accepted),
+                (items.len(), items.len(), items.len()),
+                "{session}: scored == rows == accepted"
+            );
+        }
+        assert_eq!(svc.scored(), svc.accepted());
+    }
+
     #[test]
     fn service_pool_shares_one_service_per_name() {
         let registry = ServicePool::new();

@@ -21,14 +21,17 @@
 //! the scheduler likes; the per-session output sequence is bit-for-bit
 //! the sequential [`omg_scenario::stream_score_scenario`] run of the
 //! same items (the conformance suite enforces this for every registered
-//! scenario at 1/2/8 workers).
+//! scenario at 1/2/8 workers), because both score each window with the
+//! same kernel, [`omg_scenario::score_window`]. Drains and the finish
+//! flush share one per-window step, so every accepted item is scored,
+//! recorded and counted exactly once.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use omg_core::runtime::ThreadPool;
-use omg_core::stream::{Prepare, SlidingWindows};
+use omg_core::stream::{Prepare, SlidingWindows, Window};
 use omg_core::{AssertionDb, AssertionSet, SeverityMatrix};
 use omg_scenario::{score_window, Scenario, Scores};
 
@@ -292,14 +295,17 @@ impl<Sc: Scenario> MonitorService<Sc> {
         Ok(())
     }
 
-    /// Scores one shard's whole backlog: the coarse per-session work
-    /// unit a drain pass hands to a pool worker.
+    /// Scores one shard's whole backlog — the coarse per-session work
+    /// unit a drain pass hands to a pool worker — and, when `flush` is
+    /// set (the session is finishing), the right-edge tail windows too.
+    /// Returns the number of windows scored.
     fn drain_shard(
         scenario: &Sc,
         set: &AssertionSet<Sc::Sample, Sc::Prep>,
         preparer: &(dyn Prepare<Sc::Sample, Prepared = Sc::Prep> + '_),
         retained: Option<usize>,
         shard: &mut SessionShard<Sc>,
+        flush: bool,
     ) -> usize {
         let SessionShard {
             queue,
@@ -312,16 +318,27 @@ impl<Sc: Scenario> MonitorService<Sc> {
             ..
         } = shard;
         let mut emitted = 0usize;
+        // The one per-window step: score, record, retain, buffer.
+        let mut emit = |w: Window<'_, Sc::Item>| {
+            let unc = score_window(scenario, set, preparer, w.items, w.center, values);
+            db.record_row(w.index, values);
+            if let Some(keep) = retained {
+                db.retain_recent(keep);
+            }
+            out_severities.push_row(values);
+            out_uncertainties.push(unc);
+            emitted += 1;
+        };
         while let Some(item) = queue.pop_front() {
             if let Some(w) = windows.push(item) {
-                let unc = score_window(scenario, set, preparer, w.items, w.center, values);
-                db.record_row(w.index, values);
-                if let Some(keep) = retained {
-                    db.retain_recent(keep);
-                }
-                out_severities.push_row(values);
-                out_uncertainties.push(unc);
-                emitted += 1;
+                emit(w);
+            }
+        }
+        if flush {
+            let fresh = SlidingWindows::new(windows.half());
+            let mut tail = std::mem::replace(windows, fresh).finish();
+            while let Some(w) = tail.next() {
+                emit(w);
             }
         }
         *scored += emitted;
@@ -346,7 +363,7 @@ impl<Sc: Scenario> MonitorService<Sc> {
             // the shard state is unusable — propagate.
             .map_indexed_coarse(shards.len(), |i| {
                 let mut shard = shards[i].1.lock().expect("shard poisoned");
-                Self::drain_shard(scenario, set, preparer, retained, &mut shard)
+                Self::drain_shard(scenario, set, preparer, retained, &mut shard, false)
             })
             .into_iter()
             .sum();
@@ -378,42 +395,14 @@ impl<Sc: Scenario> MonitorService<Sc> {
         let shard = self.shards.remove(&session)?;
         // PANIC: poisoning propagation — the drain already panicked.
         let mut shard = shard.lock().expect("shard poisoned");
-        let retained = self.config.retained_samples;
-        let mut emitted = Self::drain_shard(
+        let emitted = Self::drain_shard(
             &self.scenario,
             &self.set,
             self.preparer.as_ref(),
-            retained,
+            self.config.retained_samples,
             &mut shard,
+            true,
         );
-        let half = self.scenario.window_half();
-        let slider = std::mem::replace(&mut shard.windows, SlidingWindows::new(half));
-        let mut tail = slider.finish();
-        let SessionShard {
-            db,
-            out_severities,
-            out_uncertainties,
-            values,
-            ..
-        } = &mut *shard;
-        while let Some(w) = tail.next() {
-            let unc = score_window(
-                &*self.scenario,
-                &self.set,
-                self.preparer.as_ref(),
-                w.items,
-                w.center,
-                values,
-            );
-            db.record_row(w.index, values);
-            if let Some(keep) = retained {
-                db.retain_recent(keep);
-            }
-            out_severities.push_row(values);
-            out_uncertainties.push(unc);
-            emitted += 1;
-        }
-        shard.scored += emitted;
         self.scored_total.fetch_add(emitted, Ordering::Relaxed);
         Some(SessionReport {
             session,

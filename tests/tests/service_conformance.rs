@@ -6,8 +6,8 @@
 //!   bursts, bounded queues exercising `QueueFull` backpressure, drains
 //!   and polls interleaved mid-stream) each deliver **bit-for-bit** the
 //!   severities and uncertainties of an independent sequential
-//!   `StreamScorer` run of the same items, at 1, 2, and 8 drain
-//!   workers;
+//!   `stream_score_scenario` run of the same items, at 1, 2, and 8
+//!   drain workers;
 //! * per-session database retention (the flat-memory knob) never
 //!   changes a single delivered score;
 //! * the clamped edges — a one-item session, an empty session — hold

@@ -22,7 +22,6 @@
 use omg_bench::scenarios::all_scenarios;
 use omg_bench::video::{self, FLICKER_T};
 use omg_core::runtime::ThreadPool;
-use omg_core::stream::StreamMonitor;
 use omg_core::Monitor;
 use omg_domains::{video_assertion_set, video_prepared_assertion_set, VideoPrepare};
 use proptest::prelude::*;
@@ -51,8 +50,9 @@ proptest! {
 
     #[test]
     fn stream_monitor_equals_batch_monitor_on_video(seed in 0u64..200, len in 2usize..16) {
-        // The monitor-level guarantee: StreamMonitor's reports and
-        // database match Monitor's, sample for sample, at 1/2/8 threads.
+        // The monitor-level guarantee: a monitor with the video preparer
+        // reports and records exactly what the plain monitor does,
+        // sample for sample, at 1/2/8 threads.
         // (Windows built by hand from the shared detector: the
         // `monitor_windows` convenience pretrains a fresh one per call.)
         let mut world = omg_sim::traffic::TrafficWorld::new(
@@ -64,21 +64,21 @@ proptest! {
         let windows: Vec<_> = (0..len).map(|c| video::window_at(&frames, &dets, c)).collect();
         let mut reference = Monitor::with_assertions(video_assertion_set(FLICKER_T));
         let want: Vec<_> = windows.iter().map(|w| reference.process(w)).collect();
-        let mut stream = StreamMonitor::new(
+        let mut stream = Monitor::with_preparer(
             video_prepared_assertion_set(FLICKER_T),
             VideoPrepare::new(FLICKER_T),
         );
-        let got: Vec<_> = windows.iter().map(|w| stream.ingest(w)).collect();
-        prop_assert_eq!(&got, &want, "ingest != process (seed={}, len={})", seed, len);
+        let got: Vec<_> = windows.iter().map(|w| stream.process(w)).collect();
+        prop_assert_eq!(&got, &want, "prepared != plain process (seed={}, len={})", seed, len);
         prop_assert_eq!(stream.db(), reference.db());
         prop_assert_eq!(stream.prepare_count(), windows.len());
         for threads in THREADS {
-            let mut batch = StreamMonitor::new(
+            let mut batch = Monitor::with_preparer(
                 video_prepared_assertion_set(FLICKER_T),
                 VideoPrepare::new(FLICKER_T),
             );
-            let reports = batch.ingest_batch(&windows, &ThreadPool::exact(threads));
-            prop_assert_eq!(&reports, &want, "ingest_batch diverged at {} threads", threads);
+            let reports = batch.process_batch(&windows, &ThreadPool::exact(threads));
+            prop_assert_eq!(&reports, &want, "process_batch diverged at {} threads", threads);
             prop_assert_eq!(batch.db(), reference.db());
         }
     }
@@ -125,9 +125,10 @@ fn preparation_runs_exactly_once_per_window_sequentially() {
     }
 }
 
-/// Chunked parallel streaming re-prepares only the chunk margins: with
-/// chunk size `ceil(n / (threads * 4))` and margin `2 * half`, each
-/// scenario's prepare count stays within `n + n_chunks * 2 * half`.
+/// Chunked parallel streaming prepares no window twice: with chunk size
+/// `ceil(n / (threads * 4))`, each scenario's prepare count stays within
+/// the chunk-margin bound `n + n_chunks * 2 * half` (the driver borrows
+/// each chunk's context items in place, so it is exactly `n`).
 #[test]
 fn parallel_streaming_overhead_is_bounded_by_chunk_margins() {
     let threads = 4;
