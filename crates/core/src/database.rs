@@ -217,8 +217,10 @@ impl AssertionDb {
     /// Retains (at most) the most recent `keep` sample indices, evicting
     /// the rows of everything older; returns the number of rows dropped.
     /// This is the per-session record cap of the service layer: calling
-    /// it after every record keeps resident memory flat under unbounded
-    /// traffic.
+    /// it after every batch of records keeps resident memory flat under
+    /// unbounded traffic. The watermark `num_samples − keep` only rises,
+    /// so one call after a batch leaves the database equal to one call
+    /// after each record of it.
     pub fn retain_recent(&mut self, keep: usize) -> usize {
         self.evict_before(self.num_samples.saturating_sub(keep))
     }
@@ -570,6 +572,32 @@ mod tests {
             .map(|(s, _)| s)
             .collect();
         assert_eq!(fired, (42..50).collect::<Vec<_>>());
+    }
+
+    /// One retention pass after a batch of records equals one pass
+    /// after each record: resident rows, watermark and lifetime
+    /// counters all match once both have retained.
+    #[test]
+    fn one_retain_per_batch_equals_one_per_record() {
+        let keep = 3;
+        let mut per_record = AssertionDb::new();
+        let mut per_batch = AssertionDb::new();
+        // Batches of 1, 4, 2, 7, 1, 1, 5 and 19 records.
+        let batch_ends = [0, 4, 6, 13, 14, 15, 20];
+        for s in 0..40 {
+            let row = [(s % 3) as f64, ((s * 7) % 5) as f64 / 4.0];
+            per_record.record_row(s, &row);
+            per_record.retain_recent(keep);
+            per_batch.record_row(s, &row);
+            if batch_ends.contains(&s) {
+                per_batch.retain_recent(keep);
+                assert_eq!(per_batch, per_record, "after sample {s}");
+            }
+        }
+        per_batch.retain_recent(keep);
+        assert_eq!(per_batch, per_record);
+        assert_eq!(per_batch.evicted_before(), 37);
+        assert_eq!(per_batch.lifetime_len(), 80);
     }
 
     /// The naive reference for the eviction property test: a flat log

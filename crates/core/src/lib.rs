@@ -39,11 +39,10 @@
 //! * [`stream`] — the incremental streaming engine: the [`stream::Prepare`]
 //!   shared window-preparation layer (expensive derivations run once per
 //!   window, shared by every assertion via
-//!   [`AssertionSet::check_all_prepared`]), the one columnar scoring
-//!   driver [`stream::score_rows_chunked`], and the zero-copy window
-//!   slider [`stream::SlidingWindows`] (borrowed windows over a mirror
-//!   buffer of moved-in items) — all bit-for-bit equal to the batch
-//!   reference at any thread count.
+//!   [`AssertionSet::check_all_prepared`]) and the one columnar scoring
+//!   driver [`stream::score_rows_chunked`], whose callers borrow each
+//!   clamped window in place from a slice of the stream — all
+//!   bit-for-bit equal to the batch reference at any thread count.
 //! * [`consistency`] — the high-level consistency-assertion API of §4:
 //!   from an identifier function, an attributes function, and a temporal
 //!   threshold `T`, OMG generates Boolean assertions *and* correction

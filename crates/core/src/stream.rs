@@ -16,12 +16,13 @@
 //!    [`crate::Monitor::with_preparer`] runs it once per sample.
 //! 2. **Window construction.** A sliding window over a stream only ever
 //!    changes at its edges, and describing one never requires copying its
-//!    items. Callers holding the whole stream as a slice borrow each
-//!    clamped window in place (the scenario drivers score every center
-//!    through [`score_rows_chunked`]). Callers that receive *owned*
-//!    items one at a time use [`SlidingWindows`], which moves each item
-//!    once into a contiguous mirror buffer and emits windows as borrowed
-//!    slices of it, in O(window) memory.
+//!    items: every caller borrows each center's clamped window
+//!    `[max(0, c − half), min(c + half + 1, n))` in place from a slice of
+//!    the stream. The scenario drivers hold the whole stream and score
+//!    every center through [`score_rows_chunked`]; the multi-tenant
+//!    service keeps one buffer per session, holding only the context
+//!    later windows still need plus its ingest backlog, and slices the
+//!    same windows from it.
 //!
 //! # Batch-equivalence guarantee
 //!
@@ -137,249 +138,6 @@ impl<S, Pr: Prepare<S>> Prepare<S> for CountingPrepare<Pr> {
     fn prepare(&self, sample: &S) -> Pr::Prepared {
         self.count.fetch_add(1, Ordering::SeqCst);
         self.inner.prepare(sample)
-    }
-}
-
-/// One clamped window as a span of stream positions: `[start, end)`,
-/// centered on stream position `index`.
-#[derive(Debug, Clone, Copy)]
-struct WindowSpan {
-    start: usize,
-    end: usize,
-    index: usize,
-}
-
-impl WindowSpan {
-    /// Index of the center *within* the window (`index - start`).
-    fn center(&self) -> usize {
-        self.index - self.start
-    }
-}
-
-/// The index engine behind [`SlidingWindows`]: pure clamped-window
-/// arithmetic, no item storage.
-///
-/// With `half` positions of context on each side of a center, it counts
-/// stream positions one [`SlidingSpans::push`] at a time and emits, for
-/// every position `c`, the span `[max(0, c - half), min(c + half + 1,
-/// n))` — exactly the clamped window a batch scorer builds from the
-/// full sequence, in center order, with `half` positions of latency.
-// Deliberately not `Copy`: `finish(self)` must actually consume the
-// slider, or pushing a second stream into stale state would compile.
-#[derive(Debug, Clone)]
-struct SlidingSpans {
-    half: usize,
-    /// Total positions pushed so far.
-    pushed: usize,
-    /// Next center (stream position) to emit.
-    next_center: usize,
-}
-
-impl SlidingSpans {
-    fn new(half: usize) -> Self {
-        Self {
-            half,
-            pushed: 0,
-            next_center: 0,
-        }
-    }
-
-    /// The span for center `c`, clamped to the positions pushed so far.
-    fn span_for(&self, c: usize) -> WindowSpan {
-        WindowSpan {
-            start: c.saturating_sub(self.half),
-            end: (c + self.half + 1).min(self.pushed),
-            index: c,
-        }
-    }
-
-    /// Counts the next stream position; returns the newly completed span,
-    /// if any (the window centered `half` positions back, once its
-    /// lookahead is in).
-    fn push(&mut self) -> Option<WindowSpan> {
-        self.pushed += 1;
-        if self.pushed > self.next_center + self.half {
-            let s = self.span_for(self.next_center);
-            self.next_center += 1;
-            Some(s)
-        } else {
-            None
-        }
-    }
-
-    /// The spans for the remaining centers, clamped at the right edge
-    /// (mirroring the left-edge clamp the first spans get).
-    fn finish(self) -> impl Iterator<Item = WindowSpan> {
-        (self.next_center..self.pushed).map(move |c| self.span_for(c))
-    }
-}
-
-/// One window emitted by [`SlidingWindows`]: a **borrowed** slice of the
-/// slider's storage, which of its items is the center, and the center's
-/// global stream index. The borrow ends at the next `push` — score the
-/// window before ingesting more of the stream (which is the only order a
-/// stream can arrive in anyway).
-#[derive(Debug, PartialEq)]
-pub struct Window<'a, T> {
-    /// The window's items, in stream order.
-    pub items: &'a [T],
-    /// Index within `items` of the center — the item the window is about.
-    pub center: usize,
-    /// The center's index in the overall stream.
-    pub index: usize,
-}
-
-/// An incremental builder of clamped sliding windows over a stream of
-/// *owned* items — for callers that genuinely receive items one at a
-/// time and retain no stream slice of their own (the multi-tenant
-/// service's sessions). Callers that do hold the stream as a slice
-/// borrow each clamped window from it directly instead.
-///
-/// Items land in a contiguous mirror buffer (each item is moved in
-/// exactly once and never cloned — there is no `T: Clone` bound), so
-/// every emitted [`Window`] is a borrowed `&[T]` slice. The buffer
-/// holds O(window) live items; dead prefixes are compacted away in
-/// amortized O(1) per push. Emission order and clamping are exactly a
-/// batch scorer's: for every stream position `c`, the window
-/// `[max(0, c - half), min(c + half + 1, n))`, in center order, with
-/// `half` items of latency.
-///
-/// # Example
-///
-/// ```
-/// use omg_core::stream::SlidingWindows;
-///
-/// let mut sw = SlidingWindows::new(1);
-/// assert!(sw.push('a').is_none()); // center 0 still needs lookahead
-/// let w = sw.push('b').expect("center 0 complete");
-/// assert_eq!((w.items, w.center, w.index), (['a', 'b'].as_slice(), 0, 0));
-/// let mut tail = sw.finish(); // clamped windows for the last centers
-/// let w = tail.next().expect("one tail center");
-/// assert_eq!((w.items, w.center, w.index), (['a', 'b'].as_slice(), 1, 1));
-/// assert!(tail.next().is_none());
-/// ```
-#[derive(Debug, Clone)]
-pub struct SlidingWindows<T> {
-    spans: SlidingSpans,
-    /// Contiguous storage for the live suffix of the stream.
-    buf: Vec<T>,
-    /// Stream index of `buf[0]`.
-    base: usize,
-}
-
-impl<T> SlidingWindows<T> {
-    /// Creates a builder with `half` items of context on each side.
-    pub fn new(half: usize) -> Self {
-        Self {
-            spans: SlidingSpans::new(half),
-            buf: Vec::with_capacity(2 * (2 * half + 1)),
-            base: 0,
-        }
-    }
-
-    /// The context radius.
-    pub fn half(&self) -> usize {
-        self.spans.half
-    }
-
-    /// Total items pushed so far.
-    pub fn pushed(&self) -> usize {
-        self.spans.pushed
-    }
-
-    /// Drops items no current or future window can reach, once enough
-    /// have died to amortize the move of the live suffix to the front.
-    fn compact(&mut self) {
-        let window = 2 * self.spans.half + 1;
-        let dead = self
-            .spans
-            .next_center
-            .saturating_sub(self.spans.half)
-            .saturating_sub(self.base);
-        if dead >= window {
-            // `drain` drops the dead prefix and *moves* the live suffix
-            // down — no clones. Each compaction moves at most window + 1
-            // items after at least `window` pushes: amortized O(1).
-            self.buf.drain(..dead);
-            self.base += dead;
-        }
-    }
-
-    /// Ingests the next item; returns the newly completed window, if any
-    /// (the window centered `half` items back, once its lookahead is in),
-    /// borrowed from the slider's storage.
-    pub fn push(&mut self, item: T) -> Option<Window<'_, T>> {
-        self.compact();
-        self.buf.push(item);
-        let span = self.spans.push()?;
-        Some(window_in(&self.buf, self.base, span))
-    }
-
-    /// Flushes the end of the stream: the windows for the remaining
-    /// centers, clamped at the right edge (mirroring the left-edge clamp
-    /// the first windows get), as a lending iterator over the buffered
-    /// tail. Consumes the slider — a finished stream is over, and a
-    /// fresh stream needs a fresh slider, so a stale ring mixing two
-    /// streams' items is unrepresentable (it used to be a silent bug):
-    ///
-    /// ```compile_fail
-    /// use omg_core::stream::SlidingWindows;
-    ///
-    /// let mut sw = SlidingWindows::new(1);
-    /// sw.push('a');
-    /// let _ = sw.finish();
-    /// sw.push('b'); // error[E0382]: `finish` consumed the slider
-    /// ```
-    pub fn finish(self) -> TailWindows<T> {
-        let tail: Vec<WindowSpan> = self.spans.finish().collect();
-        TailWindows {
-            buf: self.buf,
-            base: self.base,
-            tail: tail.into_iter(),
-        }
-    }
-}
-
-/// The right-edge-clamped tail windows of a finished [`SlidingWindows`]:
-/// a lending iterator (each [`TailWindows::next`] borrows the owned
-/// buffer), since the tail windows overlap the same storage.
-#[derive(Debug)]
-pub struct TailWindows<T> {
-    buf: Vec<T>,
-    base: usize,
-    tail: std::vec::IntoIter<WindowSpan>,
-}
-
-impl<T> TailWindows<T> {
-    /// The next tail window, borrowed from the finished slider's buffer.
-    #[allow(clippy::should_implement_trait)] // lending: Item borrows self
-    pub fn next(&mut self) -> Option<Window<'_, T>> {
-        let span = self.tail.next()?;
-        Some(window_in(&self.buf, self.base, span))
-    }
-
-    /// Number of tail windows remaining.
-    pub fn len(&self) -> usize {
-        self.tail.len()
-    }
-
-    /// Whether all tail windows have been yielded.
-    pub fn is_empty(&self) -> bool {
-        self.tail.len() == 0
-    }
-}
-
-/// Borrows the window a span describes from a mirror buffer whose first
-/// item is stream position `base` — shared by [`SlidingWindows::push`]
-/// and [`TailWindows::next`].
-fn window_in<T>(buf: &[T], base: usize, span: WindowSpan) -> Window<'_, T> {
-    debug_assert!(span.start >= base, "window start was compacted away");
-    // PANIC: the slider compacts only positions no emitted span can
-    // still reference, so span bounds stay inside the mirror buffer.
-    Window {
-        items: &buf[span.start - base..span.end - base],
-        center: span.center(),
-        index: span.index,
     }
 }
 
@@ -503,153 +261,6 @@ mod tests {
 
     fn samples() -> Vec<Vec<i64>> {
         vec![vec![-5, 2], vec![], vec![300, 7], vec![1], vec![-900]]
-    }
-
-    /// Drains a `SlidingWindows` run over `items`, materializing every
-    /// emitted borrowed window as `(owned items, center, index)`.
-    fn collect_windows<T: Clone>(half: usize, items: &[T]) -> Vec<(Vec<T>, usize, usize)> {
-        let mut sw = SlidingWindows::new(half);
-        let mut got = Vec::new();
-        for x in items {
-            if let Some(w) = sw.push(x.clone()) {
-                got.push((w.items.to_vec(), w.center, w.index));
-            }
-        }
-        let mut tail = sw.finish();
-        while let Some(w) = tail.next() {
-            got.push((w.items.to_vec(), w.center, w.index));
-        }
-        got
-    }
-
-    /// The batch reference: the clamped window of every center, built
-    /// from the full sequence — what both sliders must reproduce.
-    fn batch_windows<T: Clone>(half: usize, items: &[T]) -> Vec<(Vec<T>, usize, usize)> {
-        let n = items.len();
-        (0..n)
-            .map(|c| {
-                let lo = c.saturating_sub(half);
-                let hi = (c + half + 1).min(n);
-                (items[lo..hi].to_vec(), c - lo, c)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn sliding_windows_match_batch_windows() {
-        // Deterministic clamped-edge coverage: half = 0 (degenerate
-        // windows), n = 0/1, and every n < 2 * half + 1 (streams shorter
-        // than one full window, where both edges clamp at once).
-        for half in [0usize, 1, 2, 3] {
-            for n in [0usize, 1, 2, 5, 9] {
-                let items: Vec<usize> = (0..n).collect();
-                assert_eq!(
-                    collect_windows(half, &items),
-                    batch_windows(half, &items),
-                    "half={half} n={n}"
-                );
-            }
-        }
-    }
-
-    proptest::proptest! {
-        /// The borrowed-window slider equals the owned batch-window
-        /// semantics for arbitrary (half, n) — including the clamped
-        /// edges the ranges force (half = 0, n < 2 * half + 1).
-        #[test]
-        fn sliding_windows_equal_batch_windows_prop(half in 0usize..5, n in 0usize..48) {
-            let items: Vec<i64> = (0..n as i64).map(|i| (i * 37) % 23 - 11).collect();
-            proptest::prop_assert_eq!(collect_windows(half, &items), batch_windows(half, &items));
-        }
-
-        /// The storage-free span slider describes exactly the same
-        /// windows, as index ranges.
-        #[test]
-        fn sliding_spans_equal_batch_windows_prop(half in 0usize..5, n in 0usize..48) {
-            let items: Vec<u32> = (0..n as u32).collect();
-            let mut sp = SlidingSpans::new(half);
-            let mut got = Vec::new();
-            for _ in 0..n {
-                if let Some(s) = sp.push() {
-                    got.push((items[s.start..s.end].to_vec(), s.center(), s.index));
-                }
-            }
-            got.extend(sp.finish().map(|s| (items[s.start..s.end].to_vec(), s.center(), s.index)));
-            proptest::prop_assert_eq!(got, batch_windows(half, &items));
-        }
-    }
-
-    #[test]
-    fn sliding_windows_latency_is_half() {
-        let mut sw = SlidingWindows::new(2);
-        assert_eq!(sw.half(), 2);
-        assert!(sw.push(0).is_none());
-        assert!(sw.push(1).is_none());
-        let w = sw.push(2).expect("center 0 ready after its lookahead");
-        assert_eq!(w.index, 0);
-        assert_eq!(sw.pushed(), 3);
-    }
-
-    /// A move-only item type: compiling at all proves the slider has no
-    /// `T: Clone` bound; the long stream exercises mirror-buffer
-    /// compaction (each item is moved in once and windows stay correct).
-    #[test]
-    fn sliding_windows_take_move_only_items_and_compact() {
-        #[derive(Debug, PartialEq)]
-        struct NoClone(usize);
-
-        let half = 2;
-        let n = 100;
-        let mut sw = SlidingWindows::new(half);
-        let mut centers = Vec::new();
-        for i in 0..n {
-            if let Some(w) = sw.push(NoClone(i)) {
-                assert!(w.items.len() <= 2 * half + 1);
-                assert_eq!(w.items[w.center], NoClone(w.index));
-                assert_eq!(w.items[0], NoClone(w.index.saturating_sub(half)));
-                centers.push(w.index);
-            }
-        }
-        let mut tail = sw.finish();
-        assert_eq!(tail.len(), half);
-        assert!(!tail.is_empty());
-        while let Some(w) = tail.next() {
-            assert_eq!(w.items[w.center], NoClone(w.index));
-            centers.push(w.index);
-        }
-        assert_eq!(centers, (0..n).collect::<Vec<_>>());
-    }
-
-    /// Regression (old bug): `finish` used to take `&mut self` and leave
-    /// a stale ring behind, so pushing a *second* stream silently emitted
-    /// windows mixing both streams' items. `finish(self)` now consumes
-    /// the slider — reuse is a compile error — and a fresh slider starts
-    /// from a genuinely clean state.
-    #[test]
-    fn finish_consumes_the_slider_and_fresh_streams_start_clean() {
-        let mut first = SlidingWindows::new(1);
-        assert!(first.push('x').is_none());
-        assert_eq!(first.push('y').unwrap().items, &['x', 'y']);
-        let mut tail = first.finish();
-        assert_eq!(tail.next().unwrap().items, &['x', 'y']);
-        // `first.push('z')` here would not compile: `finish` moved it.
-
-        let mut second = SlidingWindows::new(1);
-        let w = second.push('a');
-        assert!(w.is_none(), "a fresh stream has no stale lookahead");
-        let w = second.push('b').expect("center 0 of the second stream");
-        assert_eq!(w.items, &['a', 'b'], "no first-stream items leak in");
-        assert_eq!(w.index, 0, "stream indices restart at 0");
-    }
-
-    #[test]
-    fn window_span_geometry() {
-        let mut sp = SlidingSpans::new(1);
-        sp.push();
-        let s = sp.push().expect("center 0");
-        assert_eq!((s.start, s.end, s.center()), (0, 2, 0));
-        assert_eq!(sp.next_center, 1);
-        assert_eq!(sp.pushed, 2);
     }
 
     #[test]

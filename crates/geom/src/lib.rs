@@ -20,7 +20,7 @@
 //! * [`matchers`] — the indexed matchers every assertion routes through
 //!   (NMS, association pairs, overlap triples, agreement counts), with a
 //!   process-wide [`matchers::MatchBackend`] toggle.
-//! * [`reference`] — the preserved O(n²) pairwise scans: equivalence
+//! * [`reference`](mod@reference) — the preserved O(n²) pairwise scans: equivalence
 //!   oracle, benchmark baseline, and small-input fallback.
 //!
 //! # Example

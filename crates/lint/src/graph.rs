@@ -3,7 +3,7 @@
 //! Edges are built from identifier references inside function bodies:
 //! any identifier that names a workspace function becomes an edge to
 //! every candidate that context cannot rule out. The resolution ladder
-//! (see [`resolve`]) narrows only where Rust's expression grammar
+//! (see `resolve`) narrows only where Rust's expression grammar
 //! guarantees the excluded candidates are impossible — `.name(` can
 //! only be a method, a bare `name` can only be a free fn, `name:` is a
 //! field label, `.name` without a call is a field access — and
@@ -208,9 +208,6 @@ pub const ROOTS: &[RootSpec] = &[
     RootSpec::Method("ThreadPool", "map_indexed"),
     RootSpec::Method("ThreadPool", "map_indexed_coarse"),
     RootSpec::Method("MonitorService", "finish"),
-    RootSpec::Method("SlidingWindows", "finish"),
-    RootSpec::Method("SlidingWindows", "pushed"),
-    RootSpec::Method("TailWindows", "next"),
     // Every `SelectionStrategy::score` impl (the only fns so named).
     RootSpec::Name("score"),
     RootSpec::NameSuffix("_assertion"),
@@ -448,10 +445,6 @@ mod tests {
             (
                 "crates/domains/src/video.rs",
                 "pub fn flicker_assertion() {}\npub fn video_assertion_set() {}\nimpl S { pub fn assertion_set(&self) {} pub fn prepared_set(&self) {} pub fn preparer(&self) {} }",
-            ),
-            (
-                "crates/core/src/stream.rs",
-                "impl<T> SlidingWindows<T> { pub fn pushed(&self) {} pub fn finish(self) {} }\nimpl<T> TailWindows<T> { pub fn next(&mut self) {} }",
             ),
             (
                 "crates/service/src/service.rs",

@@ -11,11 +11,13 @@
 //!   `RwLock<BTreeMap>`) behind every shared registry here: construct
 //!   once under race, share forever.
 //! * [`MonitorService`] — session-keyed monitor shards over one
-//!   scenario. Sessions own private sliders, bounded ingest queues
+//!   scenario. Each session owns one item buffer — the window context
+//!   later centers still need, then a bounded ingest backlog
 //!   ([`MonitorService::try_ingest`] pushes back with
-//!   [`IngestError::QueueFull`] instead of growing), and
-//!   retention-capped databases; drains divide work at **session**
-//!   granularity across the pool.
+//!   [`IngestError::QueueFull`] instead of growing) — and a
+//!   retention-capped database; drains score windows as borrowed
+//!   slices of that buffer and divide work at **session** granularity
+//!   across the pool.
 //! * [`DynService`] / [`ServiceHarness`] — the type-erased face the
 //!   conformance suite and the `exp service` soak benchmark drive, and
 //!   [`ServicePool`], the name-keyed registry sharing whole services.
@@ -46,21 +48,82 @@ pub use omg_scenario::{Scores, ThreadPool};
 mod tests {
     use super::*;
     use omg_core::stream::{FnPrepare, Prepare};
-    use omg_core::{AssertionSet, FnAssertion, Severity};
-    use omg_scenario::Scenario;
+    use omg_core::{AssertionSet, FnAssertion, Severity, SeverityMatrix};
+    use omg_scenario::{stream_score_scenario, Scenario};
     use rand::rngs::StdRng;
+    use std::marker::PhantomData;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    /// A deterministic toy scenario: items are small integers, samples
-    /// are the window's items, the shared preparation is the window
-    /// sum.
-    #[derive(Clone)]
-    struct Toy {
-        n: usize,
+    /// A toy stream item: a small integer, plus whatever the item type
+    /// instruments.
+    trait ToyItem: Clone + Send + Sync + 'static {
+        fn from_value(value: i64) -> Self;
+        fn value(&self) -> i64;
     }
 
-    impl Scenario for Toy {
-        type Item = i64;
+    impl ToyItem for i64 {
+        fn from_value(value: i64) -> Self {
+            value
+        }
+
+        fn value(&self) -> i64 {
+            *self
+        }
+    }
+
+    /// Clones of [`Counted`] items, process-wide (only the zero-clone
+    /// test uses the type, so no other test moves the count).
+    static COUNTED_CLONES: AtomicUsize = AtomicUsize::new(0);
+
+    /// A toy item that counts every clone of itself.
+    #[derive(Debug)]
+    struct Counted(i64);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            COUNTED_CLONES.fetch_add(1, Ordering::SeqCst);
+            Counted(self.0)
+        }
+    }
+
+    impl ToyItem for Counted {
+        fn from_value(value: i64) -> Self {
+            Counted(value)
+        }
+
+        fn value(&self) -> i64 {
+            self.0
+        }
+    }
+
+    /// A deterministic toy scenario: items are small integers, samples
+    /// are the window's item values, the shared preparation is the
+    /// window sum.
+    #[derive(Clone)]
+    struct Toy<T = i64> {
+        n: usize,
+        half: usize,
+        item: PhantomData<fn() -> T>,
+    }
+
+    impl<T> Toy<T> {
+        fn new(n: usize, half: usize) -> Self {
+            Self {
+                n,
+                half,
+                item: PhantomData,
+            }
+        }
+    }
+
+    /// The `half = 1` integer toy most tests use.
+    fn toy(n: usize) -> Toy {
+        Toy::new(n, 1)
+    }
+
+    impl<T: ToyItem> Scenario for Toy<T> {
+        type Item = T;
         type Sample = Vec<i64>;
         type Prep = i64;
         type Model = ();
@@ -71,7 +134,7 @@ mod tests {
         }
 
         fn window_half(&self) -> usize {
-            1
+            self.half
         }
 
         fn pool_len(&self) -> usize {
@@ -80,8 +143,10 @@ mod tests {
 
         fn pretrained_model(&self, _seed: u64) {}
 
-        fn run_model(&self, _model: &()) -> Vec<i64> {
-            (0..self.n as i64).map(|i| (i * 37) % 23 - 11).collect()
+        fn run_model(&self, _model: &()) -> Vec<T> {
+            (0..self.n as i64)
+                .map(|i| T::from_value((i * 37) % 23 - 11))
+                .collect()
         }
 
         fn assertion_set(&self) -> AssertionSet<Vec<i64>> {
@@ -116,12 +181,12 @@ mod tests {
             Box::new(FnPrepare::new(|xs: &Vec<i64>| xs.iter().sum::<i64>()))
         }
 
-        fn make_sample(&self, items: &[i64], _center: usize) -> Vec<i64> {
-            items.to_vec()
+        fn make_sample(&self, items: &[T], _center: usize) -> Vec<i64> {
+            items.iter().map(T::value).collect()
         }
 
-        fn uncertainty(&self, item: &i64) -> f64 {
-            (*item as f64) / 10.0
+        fn uncertainty(&self, item: &T) -> f64 {
+            (item.value() as f64) / 10.0
         }
 
         fn trains(&self) -> bool {
@@ -140,7 +205,7 @@ mod tests {
     }
 
     fn harness(n: usize, config: ServiceConfig) -> Box<dyn DynService> {
-        ServiceHarness::boxed(Toy { n }, (), config)
+        ServiceHarness::boxed(toy(n), (), config)
     }
 
     #[test]
@@ -152,7 +217,7 @@ mod tests {
             // ingested round-robin with drains interleaved.
             let slices = [(0usize, 40usize), (0, 17), (11, 23)];
             let mut cursors = [0usize; 3];
-            let mut delivered: Vec<Scores> = vec![(omg_core::SeverityMatrix::new(), Vec::new()); 3];
+            let mut delivered: Vec<Scores> = vec![(SeverityMatrix::new(), Vec::new()); 3];
             loop {
                 let mut progressed = false;
                 for (s, &(start, len)) in slices.iter().enumerate() {
@@ -320,7 +385,7 @@ mod tests {
     /// windows for 5 delivered rows.
     #[test]
     fn finish_counts_every_scored_window_once() {
-        let svc = MonitorService::new(Toy { n: 5 }, ServiceConfig::default());
+        let svc = MonitorService::new(toy(5), ServiceConfig::default());
         let items = svc.scenario().run_model(&());
         // `drained` is drained mid-stream; `queued` first sees its
         // items after that drain, so finish scores all five.
@@ -344,6 +409,204 @@ mod tests {
             );
         }
         assert_eq!(svc.scored(), svc.accepted());
+    }
+
+    /// Appends one batch of delivered outputs to a running total.
+    fn extend_scores(total: &mut Scores, (sev, unc): Scores) {
+        total.0.append(&sev);
+        total.1.extend(unc);
+    }
+
+    /// The sequential reference: [`stream_score_scenario`] over `items`.
+    fn stream_reference<T: ToyItem>(svc: &MonitorService<Toy<T>>, items: &[T]) -> Scores {
+        stream_score_scenario(
+            svc.scenario(),
+            svc.assertion_set(),
+            svc.preparer(),
+            items,
+            &ThreadPool::sequential(),
+        )
+    }
+
+    /// Feeds one session of a fresh `Toy::new(n, half)` service its
+    /// whole stream — draining after item `k` when bit 0 of `steps[k]`
+    /// is set and polling when bit 1 is — and finishes it. Returns every
+    /// delivered output and the sequential run of the same items.
+    fn session_and_reference(half: usize, n: usize, steps: &[u8]) -> (Scores, Scores) {
+        let svc = MonitorService::new(Toy::<i64>::new(n, half), ServiceConfig::default());
+        let items = svc.scenario().run_model(&());
+        let want = stream_reference(&svc, &items);
+        let session = SessionId(0);
+        svc.open(session);
+        let pool = ThreadPool::sequential();
+        let mut got = (SeverityMatrix::new(), Vec::new());
+        for (k, item) in items.into_iter().enumerate() {
+            svc.try_ingest(session, item)
+                .expect("default capacity is ample");
+            let step = steps.get(k).copied().unwrap_or(0);
+            if step & 1 == 1 {
+                svc.drain(&pool);
+            }
+            if step & 2 == 2 {
+                extend_scores(&mut got, svc.poll(session).expect("open session"));
+            }
+        }
+        let report = svc.finish(session).expect("open session");
+        assert_eq!(
+            (report.accepted, report.scored),
+            (n, n),
+            "half={half} n={n}"
+        );
+        extend_scores(&mut got, report.scores);
+        (got, want)
+    }
+
+    /// The clamped edges, deterministically: `half = 0` (one-item
+    /// windows), empty and one-item streams, and streams shorter than
+    /// one full window (`n < 2·half + 1`), where both edges clamp at
+    /// once — with no mid-stream drain, a drain after every item, and a
+    /// drain plus poll after every item.
+    #[test]
+    fn clamped_edge_windows_match_the_stream_scorer() {
+        for half in 0..4 {
+            for n in [0, 1, 2, 5, 9] {
+                for steps in [&[][..], &[1; 9], &[3; 9]] {
+                    let (got, want) = session_and_reference(half, n, steps);
+                    assert_eq!(got, want, "half={half} n={n} steps={steps:?}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// At any drain and poll points, for any `half` and stream
+        /// length, a session delivers exactly the sequential stream
+        /// scorer's outputs, bit for bit.
+        #[test]
+        fn session_equals_stream_scorer_prop(
+            half in 0usize..5,
+            n in 0usize..48,
+            steps in proptest::collection::vec(0u8..4, 48),
+        ) {
+            let (got, want) = session_and_reference(half, n, &steps);
+            proptest::prop_assert_eq!(got, want);
+        }
+    }
+
+    /// A long stream in bursts of 1 to 7 items: after every drain a
+    /// session buffers at most `4·half` items (the context the next
+    /// windows need plus dead items not yet compacted), and its outputs
+    /// still equal the sequential run.
+    #[test]
+    fn session_buffer_stays_within_a_few_windows() {
+        for half in [0, 1, 3] {
+            let n = 2000;
+            let svc = MonitorService::new(
+                Toy::<i64>::new(n, half),
+                ServiceConfig::default().with_queue_capacity(8),
+            );
+            let items = svc.scenario().run_model(&());
+            let want = stream_reference(&svc, &items);
+            let session = SessionId(0);
+            let pool = ThreadPool::sequential();
+            let mut got = (SeverityMatrix::new(), Vec::new());
+            let mut burst = 1;
+            for (k, item) in items.into_iter().enumerate() {
+                svc.try_ingest(session, item)
+                    .expect("drained before capacity");
+                burst -= 1;
+                if burst == 0 {
+                    svc.drain(&pool);
+                    extend_scores(&mut got, svc.poll(session).expect("open session"));
+                    let buffered = svc.buffered(session).expect("open session");
+                    assert!(
+                        buffered <= 4 * half,
+                        "half={half}: {buffered} items buffered"
+                    );
+                    burst = 1 + k % 7;
+                }
+            }
+            extend_scores(&mut got, svc.finish(session).expect("open session").scores);
+            assert_eq!(got, want, "half={half}");
+        }
+    }
+
+    /// Every item is moved once, into its session's buffer: scoring,
+    /// compaction and the finish flush clone none, with two sessions
+    /// drained across two workers.
+    #[test]
+    fn sessions_never_clone_an_item() {
+        let svc = MonitorService::new(
+            Toy::<Counted>::new(300, 2),
+            ServiceConfig::default().with_queue_capacity(16),
+        );
+        let want = stream_reference(&svc, &svc.scenario().run_model(&()));
+        let sessions = [SessionId(0), SessionId(1)];
+        let [a, b] = sessions.map(|_| svc.scenario().run_model(&()));
+        let pool = ThreadPool::exact(2);
+        let mut got = [(); 2].map(|_| (SeverityMatrix::new(), Vec::new()));
+        for (k, (x, y)) in a.into_iter().zip(b).enumerate() {
+            svc.try_ingest(sessions[0], x).expect("capacity");
+            svc.try_ingest(sessions[1], y).expect("capacity");
+            if k % 5 == 4 {
+                svc.drain(&pool);
+                for (session, out) in sessions.iter().zip(&mut got) {
+                    extend_scores(out, svc.poll(*session).expect("open session"));
+                }
+            }
+        }
+        for (session, out) in sessions.iter().zip(&mut got) {
+            extend_scores(out, svc.finish(*session).expect("open session").scores);
+            assert_eq!(*out, want, "{session}");
+        }
+        assert_eq!(
+            COUNTED_CLONES.load(Ordering::SeqCst),
+            0,
+            "an item was cloned"
+        );
+    }
+
+    /// Regression: `try_ingest` looked its shard up, released the
+    /// table lock, then locked the shard. An idle eviction in that gap
+    /// removed the shard, and the ingest accepted into an orphan no
+    /// drain would reach again — `Ok`, counted in `accepted()`, never
+    /// scored. With eviction at 0 idle ticks, a drain-and-poll loop
+    /// races every ingest; every accepted item must come back as
+    /// exactly one row.
+    #[test]
+    fn eviction_racing_ingest_loses_no_accepted_item() {
+        const ITEMS: usize = 2_000_000;
+        let svc = MonitorService::new(
+            Toy::<i64>::new(0, 0),
+            ServiceConfig::default()
+                .with_queue_capacity(ITEMS)
+                .with_idle_eviction(0),
+        );
+        let session = SessionId(0);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let delivered = std::thread::scope(|scope| {
+            let drainer = scope.spawn(|| {
+                let pool = ThreadPool::sequential();
+                let mut rows = 0;
+                while !done.load(Ordering::SeqCst) {
+                    svc.drain(&pool);
+                    rows += svc.poll(session).map_or(0, |(sev, _)| sev.len());
+                }
+                rows
+            });
+            for k in 0..ITEMS as i64 {
+                svc.try_ingest(session, k % 5 - 2).expect("capacity");
+            }
+            done.store(true, Ordering::SeqCst);
+            drainer.join().expect("drain loop panicked")
+        });
+        let flushed = svc.finish(session).map_or(0, |r| r.scores.0.len());
+        assert_eq!(svc.accepted(), ITEMS);
+        assert_eq!(
+            delivered + flushed,
+            ITEMS,
+            "accepted items were never scored"
+        );
     }
 
     #[test]

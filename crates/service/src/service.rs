@@ -1,37 +1,11 @@
 //! The multi-tenant monitor: session-keyed shards over the streaming
-//! engine.
-//!
-//! One [`MonitorService`] serves many concurrent sessions of **one**
-//! scenario. The expensive scenario resources — the prepared assertion
-//! set and its preparer — are built once and shared by every session
-//! behind `Arc`s, so opening a session is O(1) allocation, not O(set).
-//! Each session owns a [`SessionShard`]-worth of private state: a
-//! bounded ingest queue (backpressure, not unbounded growth), a
-//! [`SlidingWindows`] slider, an [`AssertionDb`] with optional
-//! retention, and the not-yet-polled score outputs.
-//!
-//! Work divides at **session granularity**: a drain pass hands whole
-//! sessions to pool workers ([`ThreadPool::map_indexed_coarse`]), so a
-//! worker scores a session's entire backlog with warm caches and zero
-//! cross-worker window sharing — the per-window fan-out that ROADMAP
-//! item 2 measured *hurting* throughput never happens here.
-//!
-//! Determinism: a session's outputs depend only on the items ingested
-//! into that session, in order. Drains may interleave sessions any way
-//! the scheduler likes; the per-session output sequence is bit-for-bit
-//! the sequential [`omg_scenario::stream_score_scenario`] run of the
-//! same items (the conformance suite enforces this for every registered
-//! scenario at 1/2/8 workers), because both score each window with the
-//! same kernel, [`omg_scenario::score_window`]. Drains and the finish
-//! flush share one per-window step, so every accepted item is scored,
-//! recorded and counted exactly once.
+//! engine. [`MonitorService`]'s docs describe the architecture.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use omg_core::runtime::ThreadPool;
-use omg_core::stream::{Prepare, SlidingWindows, Window};
+use omg_core::stream::Prepare;
 use omg_core::{AssertionDb, AssertionSet, SeverityMatrix};
 use omg_scenario::{score_window, Scenario, Scores};
 
@@ -74,21 +48,44 @@ impl std::fmt::Display for IngestError {
 
 impl std::error::Error for IngestError {}
 
-/// Tuning knobs for a [`MonitorService`].
+/// Tuning knobs for a [`MonitorService`], built from
+/// [`ServiceConfig::default`] with the `with_*` builders:
+///
+/// ```
+/// use omg_service::ServiceConfig;
+///
+/// let config = ServiceConfig::default()
+///     .with_queue_capacity(64)
+///     .with_retention(16)
+///     .with_idle_eviction(3);
+/// ```
+///
+/// The fields are private, so every config passes the builders'
+/// checks — a struct literal that would skip them (a zero-capacity
+/// queue refuses every ingest forever) does not compile:
+///
+/// ```compile_fail
+/// use omg_service::ServiceConfig;
+///
+/// let config = ServiceConfig {
+///     queue_capacity: 0, // error[E0451]: field `queue_capacity` is private
+///     ..ServiceConfig::default()
+/// };
+/// ```
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Maximum items a session may have queued (accepted but not yet
-    /// scored) before [`MonitorService::try_ingest`] pushes back with
+    /// drained) before [`MonitorService::try_ingest`] pushes back with
     /// [`IngestError::QueueFull`].
-    pub queue_capacity: usize,
+    queue_capacity: usize,
     /// Per-session [`AssertionDb`] retention: keep at most this many
     /// recent sample rows resident (lifetime fire counters survive —
     /// see [`AssertionDb::retain_recent`]). `None` retains everything.
-    pub retained_samples: Option<usize>,
+    retained_samples: Option<usize>,
     /// Evict a session after this many drain passes with no ingest,
     /// once its queue is drained and its outputs polled. `None` never
     /// evicts.
-    pub idle_ticks: Option<u64>,
+    idle_ticks: Option<u64>,
 }
 
 impl Default for ServiceConfig {
@@ -135,11 +132,20 @@ impl ServiceConfig {
 }
 
 /// One session's private monitoring state.
+///
+/// `items` holds stream positions `base..accepted`, where `accepted =
+/// base + items.len()`: first the context later windows still need,
+/// then the items no drain has reached yet. Positions below `drained`
+/// were handed to a drain; the queue the capacity bounds is
+/// `drained..accepted`. Positions below `scored` have had their window
+/// scored, so `scored` is also the next center.
 struct SessionShard<Sc: Scenario> {
-    /// Accepted-but-unscored items (bounded by the config's capacity).
-    queue: VecDeque<Sc::Item>,
-    /// The session's window slider (owns the live item suffix).
-    windows: SlidingWindows<Sc::Item>,
+    /// The session's one item buffer, stream positions `base..`.
+    items: Vec<Sc::Item>,
+    /// Stream position of `items[0]`.
+    base: usize,
+    /// Stream positions already handed to a drain.
+    drained: usize,
     /// The session's assertion database (optionally retention-capped).
     db: AssertionDb,
     /// Scored severity rows not yet delivered to a `poll`, columnar.
@@ -150,25 +156,38 @@ struct SessionShard<Sc: Scenario> {
     values: Vec<f64>,
     /// Drain-clock value of the last ingest (drives idle eviction).
     last_active: u64,
-    /// Items accepted over the session's lifetime.
-    accepted: usize,
-    /// Windows scored over the session's lifetime.
+    /// Windows scored over the session's lifetime (the next center).
     scored: usize,
+    /// Set, under the shard lock, when `finish` or idle eviction takes
+    /// the shard out of the table: an ingest holding a stale handle
+    /// must not accept into a shard nothing will drain again.
+    closed: bool,
 }
 
 impl<Sc: Scenario> SessionShard<Sc> {
-    fn new(half: usize, now: u64) -> Self {
+    fn new(now: u64) -> Self {
         Self {
-            queue: VecDeque::new(),
-            windows: SlidingWindows::new(half),
+            items: Vec::new(),
+            base: 0,
+            drained: 0,
             db: AssertionDb::new(),
             out_severities: SeverityMatrix::new(),
             out_uncertainties: Vec::new(),
             values: Vec::new(),
             last_active: now,
-            accepted: 0,
             scored: 0,
+            closed: false,
         }
+    }
+
+    /// Items accepted over the session's lifetime.
+    fn accepted_items(&self) -> usize {
+        self.base + self.items.len()
+    }
+
+    /// Items accepted but not yet handed to a drain.
+    fn backlog(&self) -> usize {
+        self.accepted_items() - self.drained
     }
 }
 
@@ -191,9 +210,36 @@ pub struct SessionReport {
 
 /// A long-lived multi-tenant monitor for one scenario.
 ///
-/// See the [module docs](self) for the architecture; see
-/// [`crate::ServicePool`] for the cross-scenario registry that shares
-/// whole services by name.
+/// One service serves many concurrent sessions of **one** scenario. The
+/// expensive scenario resources — the prepared assertion set and its
+/// preparer — are built once and shared by every session behind
+/// `Arc`s, so opening a session is O(1) allocation, not O(set). Each
+/// session owns private state: one item buffer (the window context
+/// later centers still need, then the bounded backlog of
+/// accepted-but-undrained items — backpressure, not unbounded growth),
+/// an [`AssertionDb`] with optional retention, and the not-yet-polled
+/// score outputs.
+///
+/// Work divides at **session granularity**: a drain pass hands whole
+/// sessions to pool workers ([`ThreadPool::map_indexed_coarse`]), so a
+/// worker scores a session's entire backlog with warm caches and zero
+/// cross-worker window sharing.
+///
+/// Determinism: a session's outputs depend only on the items ingested
+/// into that session, in order. Drains may interleave sessions any way
+/// the scheduler likes; the per-session output sequence is bit-for-bit
+/// the sequential [`omg_scenario::stream_score_scenario`] run of the
+/// same items (the conformance suite enforces this for every registered
+/// scenario at 1/2/8 workers), because both score each center's clamped
+/// window `[c − half, min(c + half + 1, n))`, borrowed in place from the
+/// items, with the same kernel, [`omg_scenario::score_window`]. Drains
+/// and the finish flush run one scoring loop (a drain stops `half`
+/// centers short of the items it has, the flush scores the right-edge
+/// tail too), so every accepted item is scored, recorded and counted
+/// exactly once.
+///
+/// See [`crate::ServicePool`] for the cross-scenario registry that
+/// shares whole services by name.
 pub struct MonitorService<Sc: Scenario> {
     scenario: Arc<Sc>,
     set: Arc<AssertionSet<Sc::Sample, Sc::Prep>>,
@@ -258,11 +304,9 @@ impl<Sc: Scenario> MonitorService<Sc> {
     }
 
     fn shard(&self, session: SessionId) -> Arc<Mutex<SessionShard<Sc>>> {
-        let half = self.scenario.window_half();
         let now = self.clock.load(Ordering::Relaxed);
-        self.shards.get_or_init(session, || {
-            Arc::new(Mutex::new(SessionShard::new(half, now)))
-        })
+        self.shards
+            .get_or_init(session, || Arc::new(Mutex::new(SessionShard::new(now))))
     }
 
     /// Opens a session explicitly (ingest opens implicitly; this exists
@@ -280,25 +324,32 @@ impl<Sc: Scenario> MonitorService<Sc> {
     /// bounded queue is at capacity. The caller applies backpressure
     /// upstream and retries after a [`MonitorService::drain`].
     pub fn try_ingest(&self, session: SessionId, item: Sc::Item) -> Result<(), IngestError> {
-        let shard = self.shard(session);
-        let mut shard = shard.lock().expect("shard poisoned");
-        if shard.queue.len() >= self.config.queue_capacity {
-            return Err(IngestError::QueueFull {
-                session,
-                capacity: self.config.queue_capacity,
-            });
+        loop {
+            let shard = self.shard(session);
+            let mut shard = shard.lock().expect("shard poisoned");
+            if shard.closed {
+                // `finish` or eviction removed this shard after we
+                // looked it up: resolve the session again.
+                continue;
+            }
+            if shard.backlog() >= self.config.queue_capacity {
+                return Err(IngestError::QueueFull {
+                    session,
+                    capacity: self.config.queue_capacity,
+                });
+            }
+            shard.items.push(item);
+            shard.last_active = self.clock.load(Ordering::Relaxed);
+            self.accepted_total.fetch_add(1, Ordering::Relaxed);
+            return Ok(());
         }
-        shard.queue.push_back(item);
-        shard.accepted += 1;
-        shard.last_active = self.clock.load(Ordering::Relaxed);
-        self.accepted_total.fetch_add(1, Ordering::Relaxed);
-        Ok(())
     }
 
     /// Scores one shard's whole backlog — the coarse per-session work
-    /// unit a drain pass hands to a pool worker — and, when `flush` is
-    /// set (the session is finishing), the right-edge tail windows too.
-    /// Returns the number of windows scored.
+    /// unit a drain pass hands to a pool worker. A drain scores every
+    /// center whose lookahead is in (`scored..n − half`); with `flush`
+    /// set (the session is finishing) the right-edge tail `..n` runs
+    /// through the same loop. Returns the number of windows scored.
     fn drain_shard(
         scenario: &Sc,
         set: &AssertionSet<Sc::Sample, Sc::Prep>,
@@ -307,9 +358,11 @@ impl<Sc: Scenario> MonitorService<Sc> {
         shard: &mut SessionShard<Sc>,
         flush: bool,
     ) -> usize {
+        let half = scenario.window_half();
         let SessionShard {
-            queue,
-            windows,
+            items,
+            base,
+            drained,
             db,
             out_severities,
             out_uncertainties,
@@ -317,36 +370,42 @@ impl<Sc: Scenario> MonitorService<Sc> {
             scored,
             ..
         } = shard;
-        let mut emitted = 0usize;
-        // The one per-window step: score, record, retain, buffer.
-        let mut emit = |w: Window<'_, Sc::Item>| {
-            let unc = score_window(scenario, set, preparer, w.items, w.center, values);
-            db.record_row(w.index, values);
-            if let Some(keep) = retained {
-                db.retain_recent(keep);
-            }
+        let n = *base + items.len();
+        let ready = if flush { n } else { n.saturating_sub(half) };
+        let first = *scored;
+        for c in first..ready {
+            let (lo, hi) = (c.saturating_sub(half), (c + half + 1).min(n));
+            // PANIC: base <= scored - half <= lo (only positions below
+            // the next center's window are ever dropped) and hi <= n.
+            let window = &items[lo - *base..hi - *base];
+            let unc = score_window(scenario, set, preparer, window, c - lo, values);
+            db.record_row(c, values);
             out_severities.push_row(values);
             out_uncertainties.push(unc);
-            emitted += 1;
-        };
-        while let Some(item) = queue.pop_front() {
-            if let Some(w) = windows.push(item) {
-                emit(w);
-            }
         }
-        if flush {
-            let fresh = SlidingWindows::new(windows.half());
-            let mut tail = std::mem::replace(windows, fresh).finish();
-            while let Some(w) = tail.next() {
-                emit(w);
-            }
+        // The watermark only rises, so one retention pass per drain
+        // leaves the same rows resident as one per window.
+        if let Some(keep) = retained {
+            db.retain_recent(keep);
         }
-        *scored += emitted;
-        emitted
+        *drained = n;
+        // `ready < first` only for a drain that reached a shard after
+        // `finish` flushed it; it scored nothing.
+        *scored = ready.max(first);
+        // Drop what no later window reaches, once more than 2·half
+        // items are dead: `drain` moves the live suffix (at most 2·half
+        // items after a drain) down without cloning, so each item is
+        // moved at most once more, amortized.
+        let dead = scored.saturating_sub(half) - *base;
+        if dead > 2 * half {
+            items.drain(..dead);
+            *base += dead;
+        }
+        *scored - first
     }
 
     /// Drains every session's queue: whole sessions fan out across the
-    /// pool's workers (coarse work division — see the module docs), and
+    /// pool's workers (coarse work division — see the type docs), and
     /// each worker scores its session's backlog in ingest order.
     /// Returns the number of windows scored; runs idle eviction if the
     /// config enables it.
@@ -395,6 +454,7 @@ impl<Sc: Scenario> MonitorService<Sc> {
         let shard = self.shards.remove(&session)?;
         // PANIC: poisoning propagation — the drain already panicked.
         let mut shard = shard.lock().expect("shard poisoned");
+        shard.closed = true;
         let emitted = Self::drain_shard(
             &self.scenario,
             &self.set,
@@ -411,7 +471,7 @@ impl<Sc: Scenario> MonitorService<Sc> {
                 std::mem::take(&mut shard.out_uncertainties),
             ),
             db: std::mem::take(&mut shard.db),
-            accepted: shard.accepted,
+            accepted: shard.accepted_items(),
             scored: shard.scored,
         })
     }
@@ -433,9 +493,10 @@ impl<Sc: Scenario> MonitorService<Sc> {
         self.shards
             .retain(|_, shard| {
                 // PANIC: poisoning propagation, as in drain/finish.
-                let s = shard.lock().expect("shard poisoned");
-                let drained = s.queue.is_empty() && s.out_severities.is_empty();
-                !(drained && s.last_active < cutoff)
+                let mut s = shard.lock().expect("shard poisoned");
+                let drained = s.backlog() == 0 && s.out_severities.is_empty();
+                s.closed = drained && s.last_active < cutoff;
+                !s.closed
             })
             .into_iter()
             .map(|(id, _)| id)
@@ -453,7 +514,7 @@ impl<Sc: Scenario> MonitorService<Sc> {
         self.shards
             .entries()
             .iter()
-            .map(|(_, s)| s.lock().expect("shard poisoned").queue.len())
+            .map(|(_, s)| s.lock().expect("shard poisoned").backlog())
             .sum()
     }
 
@@ -475,6 +536,15 @@ impl<Sc: Scenario> MonitorService<Sc> {
     /// Windows scored over the service's lifetime.
     pub fn scored(&self) -> usize {
         self.scored_total.load(Ordering::Relaxed)
+    }
+
+    /// Items a session's buffer holds: window context plus backlog.
+    /// `None` if the session does not exist.
+    #[cfg(test)]
+    pub(crate) fn buffered(&self, session: SessionId) -> Option<usize> {
+        let shard = self.shards.get(&session)?;
+        let shard = shard.lock().expect("shard poisoned");
+        Some(shard.items.len())
     }
 
     /// A session's lifetime per-assertion fire counts (eviction does
